@@ -16,6 +16,7 @@
 #include <csignal>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -125,15 +126,20 @@ RunResult runCommand(const std::vector<std::string> &Argv, int64_t TimeoutMs) {
   return R;
 }
 
-/// mkdtemp-backed scratch directory, removed (with known contents) on
-/// scope exit.
+/// mkdtemp-backed scratch directory under the system temp directory
+/// (TMPDIR when set), removed (with known contents) on scope exit.
 struct TempDir {
   std::string Path;
   std::vector<std::string> Files;
 
   TempDir() {
-    char Tmpl[] = "/tmp/majic-native-XXXXXX";
-    if (!mkdtemp(Tmpl))
+    std::error_code EC;
+    std::filesystem::path Base = std::filesystem::temp_directory_path(EC);
+    if (EC)
+      throw MatlabError(format("native compile: no temp directory: %s",
+                               EC.message().c_str()));
+    std::string Tmpl = (Base / "majic-native-XXXXXX").string();
+    if (!mkdtemp(Tmpl.data()))
       throw MatlabError(
           format("native compile: mkdtemp: %s", std::strerror(errno)));
     Path = Tmpl;

@@ -11,11 +11,12 @@
 #include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
+#include "support/SealedFile.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cctype>
 #include <filesystem>
+#include <string_view>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -26,13 +27,13 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr uint32_t kMagic = 0x4d4a4f42u; // "MJOB"
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr const char *kExtension = ".mjo";
 constexpr uint32_t kProfileMagic = 0x4d4a5046u; // "MJPF"
-constexpr uint32_t kProfileFormatVersion = 1;
+constexpr uint32_t kProfileFormatVersion = 2;
 constexpr const char *kProfileExtension = ".mjp";
 constexpr uint32_t kNativeMagic = 0x4d4a4e42u; // "MJNB"
-constexpr uint32_t kNativeFormatVersion = 1;
+constexpr uint32_t kNativeFormatVersion = 2;
 constexpr const char *kNativeExtension = ".mjn";
 /// Refuse to slurp absurdly large files: a cache entry is a few KB; a
 /// multi-megabyte one is damage, not data.
@@ -75,6 +76,21 @@ uint64_t nativeStamp(uint64_t Extra) {
                         hashing::fnv1a("majic-native-abi"));
 }
 
+sealed::Kind objectKind() {
+  return {kMagic, kFormatVersion, buildStamp(), kMaxFileBytes,
+          faults::Site::RepoLoad};
+}
+
+sealed::Kind profileKind() {
+  return {kProfileMagic, kProfileFormatVersion, buildStamp(), kMaxFileBytes,
+          faults::Site::RepoLoad};
+}
+
+sealed::Kind nativeKind(uint64_t Extra) {
+  return {kNativeMagic, kNativeFormatVersion, nativeStamp(Extra),
+          kMaxFileBytes, faults::Site::RepoLoad};
+}
+
 std::string sigHashHex(const TypeSignature &Sig) {
   ser::ByteWriter SigBytes;
   ser::writeTypeSignature(SigBytes, Sig);
@@ -82,19 +98,23 @@ std::string sigHashHex(const TypeSignature &Sig) {
                                hashing::fnv1a(SigBytes.bytes())));
 }
 
-std::string payloadBytes(const CompiledObject &Obj) {
-  ser::ByteWriter W;
+/// An .mjo payload: the source hash the entry was compiled from, then the
+/// compiled object.
+void writeObject(ser::ByteWriter &W, const CompiledObject &Obj,
+                 uint64_t SourceHash) {
+  W.u64(SourceHash);
   W.str(Obj.FunctionName);
   ser::writeTypeSignature(W, Obj.Sig);
   W.u8(static_cast<uint8_t>(Obj.Mode));
   W.u8(static_cast<uint8_t>(Obj.From));
   W.f64(Obj.CompileSeconds);
   ser::writeIRFunction(W, *Obj.Code);
-  return W.take();
 }
 
-CompiledObject decodePayload(ser::ByteReader &R) {
-  CompiledObject Obj;
+RepoStore::Entry readObject(ser::ByteReader &R) {
+  RepoStore::Entry E;
+  E.SourceHash = R.u64();
+  CompiledObject &Obj = E.Obj;
   Obj.FunctionName = R.str();
   Obj.Sig = ser::readTypeSignature(R);
   uint8_t Mode = R.u8();
@@ -111,19 +131,116 @@ CompiledObject decodePayload(ser::ByteReader &R) {
     throw ser::SerializeError("trailing bytes after payload");
   if (Obj.Code->Name != Obj.FunctionName)
     throw ser::SerializeError("function name mismatch");
-  return Obj;
+  return E;
 }
 
-/// A function name is a MATLAB identifier ([A-Za-z_][A-Za-z0-9_]*), which
-/// is filesystem-safe by construction; anything else never reaches the
-/// repository, but check anyway so a hostile name cannot escape the dir.
-bool safeFileName(const std::string &Name) {
-  if (Name.empty())
-    return false;
-  for (char C : Name)
-    if (!(std::isalnum(static_cast<unsigned char>(C)) || C == '_'))
-      return false;
-  return true;
+/// An .mjn payload: source hash, then the entry's identity and .so bytes.
+void writeNative(ser::ByteWriter &W, const std::string &FunctionName,
+                 const TypeSignature &Sig, uint32_t NumOuts,
+                 const std::string &SoBytes, uint64_t SourceHash) {
+  W.u64(SourceHash);
+  W.str(FunctionName);
+  ser::writeTypeSignature(W, Sig);
+  W.u32(NumOuts);
+  W.str(SoBytes);
+}
+
+RepoStore::NativeEntry readNative(ser::ByteReader &R) {
+  RepoStore::NativeEntry E;
+  E.SourceHash = R.u64();
+  E.FunctionName = R.str();
+  if (!isIdentifier(E.FunctionName))
+    throw ser::SerializeError("invalid function name");
+  E.Sig = ser::readTypeSignature(R);
+  E.NumOuts = R.u32();
+  E.SoBytes = R.str();
+  if (!R.atEnd())
+    throw ser::SerializeError("trailing bytes after payload");
+  if (E.SoBytes.empty())
+    throw ser::SerializeError("empty shared object");
+  return E;
+}
+
+/// A profiles.mjp payload: u32 count, then per function its name,
+/// invocations, overflow count and top-K signatures with counts.
+void writeProfiles(ser::ByteWriter &W,
+                   const std::vector<RepoStore::ProfileSummary> &Ps) {
+  W.u32(static_cast<uint32_t>(Ps.size()));
+  for (const RepoStore::ProfileSummary &S : Ps) {
+    W.str(S.Name);
+    W.u64(S.Invocations);
+    W.u64(S.OtherSignatures);
+    size_t N = std::min(S.Sigs.size(), RepoStore::kProfileTopK);
+    W.u32(static_cast<uint32_t>(N));
+    for (size_t I = 0; I != N; ++I) {
+      ser::writeTypeSignature(W, S.Sigs[I].Sig);
+      W.u64(S.Sigs[I].Count);
+    }
+  }
+}
+
+std::vector<RepoStore::ProfileSummary> readProfiles(ser::ByteReader &R) {
+  // Smallest summary: name prefix, two counts, signature count.
+  uint32_t Count = R.arrayLen(4 + 8 + 8 + 4);
+  std::vector<RepoStore::ProfileSummary> Ps;
+  Ps.reserve(Count);
+  for (uint32_t I = 0; I != Count; ++I) {
+    RepoStore::ProfileSummary S;
+    S.Name = R.str();
+    if (!isIdentifier(S.Name))
+      throw ser::SerializeError("invalid function name");
+    S.Invocations = R.u64();
+    S.OtherSignatures = R.u64();
+    uint32_t NSigs = R.u32();
+    if (NSigs > RepoStore::kProfileTopK)
+      throw ser::SerializeError("signature count out of range");
+    S.Sigs.reserve(NSigs);
+    for (uint32_t J = 0; J != NSigs; ++J) {
+      RepoStore::ProfileSig PS;
+      PS.Sig = ser::readTypeSignature(R);
+      PS.Count = R.u64();
+      PS.SigStr = PS.Sig.str();
+      S.Sigs.push_back(std::move(PS));
+    }
+    Ps.push_back(std::move(S));
+  }
+  if (!R.atEnd())
+    throw ser::SerializeError("trailing bytes after payload");
+  return Ps;
+}
+
+/// The store's files with extension \p Ext, sorted so loads run in a
+/// deterministic order.
+std::vector<std::string> filesWithExtension(const std::string &Dir,
+                                            const char *Ext) {
+  std::vector<std::string> Paths;
+  std::error_code EC;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
+    if (EC)
+      break;
+    if (E.is_regular_file() && E.path().extension() == Ext)
+      Paths.push_back(E.path().string());
+  }
+  std::sort(Paths.begin(), Paths.end());
+  return Paths;
+}
+
+/// Deletes every `<FunctionName>.*` file whose extension is in \p Exts.
+void removeVersions(const std::string &Dir, const std::string &FunctionName,
+                    std::initializer_list<std::string_view> Exts) {
+  std::string Prefix = FunctionName + ".";
+  std::error_code EC;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
+    if (EC)
+      break;
+    std::string Ext = E.path().extension().string();
+    if (E.is_regular_file() &&
+        std::find(Exts.begin(), Exts.end(), Ext) != Exts.end() &&
+        E.path().filename().string().rfind(Prefix, 0) == 0) {
+      std::error_code RmEC;
+      fs::remove(E.path(), RmEC);
+    }
+  }
 }
 
 /// Whether \p Dir is private enough to carry machine code: owned by the
@@ -161,20 +278,6 @@ unsigned RepoStore::sweepTemps() {
   return N;
 }
 
-std::string RepoStore::encode(const CompiledObject &Obj, uint64_t SourceHash) {
-  std::string Payload = payloadBytes(Obj);
-  ser::ByteWriter W;
-  W.u32(kMagic);
-  W.u32(kFormatVersion);
-  W.u64(buildStamp());
-  W.u64(SourceHash);
-  W.u64(Payload.size());
-  W.u32(hashing::crc32(Payload));
-  std::string File = W.take();
-  File += Payload;
-  return File;
-}
-
 std::string RepoStore::entryPath(const CompiledObject &Obj) const {
   // One file per (function, signature) version: the signature hash keys
   // the version, so recompiling the same signature overwrites in place.
@@ -195,9 +298,11 @@ bool RepoStore::save(const CompiledObject &Obj, uint64_t SourceHash) {
   // unwritable directory - is swallowed into a counter.
   try {
     faults::maybeThrow(faults::Site::RepoSave);
-    if (!Usable || !Obj.Code || !safeFileName(Obj.FunctionName))
+    if (!Usable || !Obj.Code || !isIdentifier(Obj.FunctionName))
       throw std::runtime_error("store unusable");
-    std::string Bytes = encode(Obj, SourceHash);
+    std::string Bytes = sealed::seal(objectKind(), [&](ser::ByteWriter &W) {
+      writeObject(W, Obj, SourceHash);
+    });
     std::string Error;
     if (!atomicfile::writeFileAtomic(entryPath(Obj), Bytes, &Error))
       throw std::runtime_error(Error);
@@ -216,89 +321,21 @@ std::vector<RepoStore::Entry> RepoStore::loadAll() {
   std::vector<Entry> Out;
   if (!Usable)
     return Out;
-
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    if (E.is_regular_file() && E.path().extension() == kExtension)
-      Paths.push_back(E.path().string());
-  }
-  std::sort(Paths.begin(), Paths.end()); // deterministic load order
-
-  for (const std::string &Path : Paths) {
-    enum class Verdict { Ok, Corrupt, Skew } V = Verdict::Corrupt;
-    try {
-      faults::maybeThrow(faults::Site::RepoLoad);
-      std::error_code SzEC;
-      uint64_t Size = fs::file_size(Path, SzEC);
-      if (SzEC || Size > kMaxFileBytes)
-        throw ser::SerializeError("unreadable or oversized file");
-      std::string Bytes;
-      if (!atomicfile::readFile(Path, Bytes))
-        throw ser::SerializeError("cannot read file");
-
-      // The validation ladder: magic -> format version -> build stamp ->
-      // payload size -> checksum -> bounds-checked decode. The source-hash
-      // rung runs later, at adoption time, when the engine knows the
-      // current source text.
-      ser::ByteReader R(Bytes);
-      if (R.u32() != kMagic)
-        throw ser::SerializeError("bad magic");
-      if (R.u32() != kFormatVersion) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("format version skew");
-      }
-      if (R.u64() != buildStamp()) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("build stamp skew");
-      }
-      Entry E;
-      E.SourceHash = R.u64();
-      uint64_t PayloadSize = R.u64();
-      uint32_t Crc = R.u32();
-      if (PayloadSize != R.remaining())
-        throw ser::SerializeError("payload size mismatch");
-      if (hashing::crc32(static_cast<const void *>(
-                             Bytes.data() + (Bytes.size() - PayloadSize)),
-                         static_cast<size_t>(PayloadSize)) != Crc)
-        throw ser::SerializeError("checksum mismatch");
-      E.Obj = decodePayload(R);
+  // The source-hash check runs later, at adoption time, when the engine
+  // knows the current source text.
+  sealed::Kind K = objectKind();
+  for (const std::string &Path : filesWithExtension(Dir, kExtension)) {
+    Entry E;
+    sealed::Verdict V =
+        sealed::load(Path, K, [&](ser::ByteReader &R) { E = readObject(R); });
+    if (V == sealed::Verdict::Ok) {
       E.Path = Path;
       Out.push_back(std::move(E));
-      V = Verdict::Ok;
-    } catch (...) {
-      // fall through to the verdict handling below
     }
-
-    std::error_code IgnoredEC;
-    switch (V) {
-    case Verdict::Ok: {
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.Loaded;
-      break;
-    }
-    case Verdict::Corrupt: {
-      // Quarantine, don't delete: the bytes are evidence. The rename also
-      // takes the file out of the .mjo namespace so the next load is
-      // clean. If even the rename fails, fall back to removal.
-      fs::rename(Path, Path + ".corrupt", IgnoredEC);
-      if (IgnoredEC)
-        fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.Quarantined;
-      break;
-    }
-    case Verdict::Skew: {
-      // A different engine build or format owns this file; discarding it
-      // is routine turnover, not corruption.
-      fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.Skewed;
-      break;
-    }
-    }
+    std::lock_guard<std::mutex> L(Mutex);
+    ++(V == sealed::Verdict::Ok     ? Stats.Loaded
+       : V == sealed::Verdict::Skew ? Stats.Skewed
+                                    : Stats.Quarantined);
   }
   return Out;
 }
@@ -306,38 +343,13 @@ std::vector<RepoStore::Entry> RepoStore::loadAll() {
 void RepoStore::erase(const std::string &FunctionName) {
   // Source turnover invalidates both payload kinds: the native .so was
   // compiled from the same stale source as the IR beside it.
-  if (!Usable || !safeFileName(FunctionName))
-    return;
-  std::error_code EC;
-  std::string Prefix = FunctionName + ".";
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    std::string Name = E.path().filename().string();
-    std::string Ext = E.path().extension().string();
-    if (E.is_regular_file() && (Ext == kExtension || Ext == kNativeExtension) &&
-        Name.rfind(Prefix, 0) == 0) {
-      std::error_code RmEC;
-      fs::remove(E.path(), RmEC);
-    }
-  }
+  if (Usable && isIdentifier(FunctionName))
+    removeVersions(Dir, FunctionName, {kExtension, kNativeExtension});
 }
 
 void RepoStore::eraseNative(const std::string &FunctionName) {
-  if (!Usable || !safeFileName(FunctionName))
-    return;
-  std::error_code EC;
-  std::string Prefix = FunctionName + ".";
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    std::string Name = E.path().filename().string();
-    if (E.is_regular_file() && E.path().extension() == kNativeExtension &&
-        Name.rfind(Prefix, 0) == 0) {
-      std::error_code RmEC;
-      fs::remove(E.path(), RmEC);
-    }
-  }
+  if (Usable && isIdentifier(FunctionName))
+    removeVersions(Dir, FunctionName, {kNativeExtension});
 }
 
 void RepoStore::discardStale(const std::string &Path) {
@@ -358,28 +370,6 @@ void RepoStore::noteAdopted() {
 
 void RepoStore::setNativeStampExtra(uint64_t Extra) { NativeExtra = Extra; }
 
-std::string RepoStore::encodeNative(const std::string &FunctionName,
-                                    const TypeSignature &Sig, uint32_t NumOuts,
-                                    const std::string &SoBytes,
-                                    uint64_t SourceHash, uint64_t StampExtra) {
-  ser::ByteWriter P;
-  P.str(FunctionName);
-  ser::writeTypeSignature(P, Sig);
-  P.u32(NumOuts);
-  P.str(SoBytes);
-  std::string Payload = P.take();
-  ser::ByteWriter W;
-  W.u32(kNativeMagic);
-  W.u32(kNativeFormatVersion);
-  W.u64(nativeStamp(StampExtra));
-  W.u64(SourceHash);
-  W.u64(Payload.size());
-  W.u32(hashing::crc32(Payload));
-  std::string File = W.take();
-  File += Payload;
-  return File;
-}
-
 bool RepoStore::saveNative(const std::string &FunctionName,
                            const TypeSignature &Sig, uint32_t NumOuts,
                            const std::string &SoBytes, uint64_t SourceHash) {
@@ -387,11 +377,12 @@ bool RepoStore::saveNative(const std::string &FunctionName,
   try {
     faults::maybeThrow(faults::Site::RepoSave);
     if (!Usable || !NativeTrusted || SoBytes.empty() ||
-        !safeFileName(FunctionName))
+        !isIdentifier(FunctionName))
       throw std::runtime_error("store unusable or untrusted for native");
     std::string Bytes =
-        encodeNative(FunctionName, Sig, NumOuts, SoBytes, SourceHash,
-                     NativeExtra);
+        sealed::seal(nativeKind(NativeExtra), [&](ser::ByteWriter &W) {
+          writeNative(W, FunctionName, Sig, NumOuts, SoBytes, SourceHash);
+        });
     std::string Error;
     if (!atomicfile::writeFileAtomic(nativePath(FunctionName, Sig), Bytes,
                                      &Error))
@@ -421,122 +412,26 @@ std::vector<RepoStore::NativeEntry> RepoStore::loadAllNative() {
     return Out;
   }
 
-  std::vector<std::string> Paths;
-  std::error_code EC;
-  for (const fs::directory_entry &E : fs::directory_iterator(Dir, EC)) {
-    if (EC)
-      break;
-    if (E.is_regular_file() && E.path().extension() == kNativeExtension)
-      Paths.push_back(E.path().string());
-  }
-  std::sort(Paths.begin(), Paths.end()); // deterministic load order
-
-  for (const std::string &Path : Paths) {
-    // The same ladder as .mjo entries with the native stamp on the third
-    // rung; the source-hash rung runs at adoption time as for IR entries.
-    enum class Verdict { Ok, Corrupt, Skew } V = Verdict::Corrupt;
-    try {
-      faults::maybeThrow(faults::Site::RepoLoad);
-      std::error_code SzEC;
-      uint64_t Size = fs::file_size(Path, SzEC);
-      if (SzEC || Size > kMaxFileBytes)
-        throw ser::SerializeError("unreadable or oversized file");
-      std::string Bytes;
-      if (!atomicfile::readFile(Path, Bytes))
-        throw ser::SerializeError("cannot read file");
-
-      ser::ByteReader R(Bytes);
-      if (R.u32() != kNativeMagic)
-        throw ser::SerializeError("bad magic");
-      if (R.u32() != kNativeFormatVersion) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("format version skew");
-      }
-      if (R.u64() != nativeStamp(NativeExtra)) {
-        V = Verdict::Skew;
-        throw ser::SerializeError("native stamp skew");
-      }
-      NativeEntry E;
-      E.SourceHash = R.u64();
-      uint64_t PayloadSize = R.u64();
-      uint32_t Crc = R.u32();
-      if (PayloadSize != R.remaining())
-        throw ser::SerializeError("payload size mismatch");
-      if (hashing::crc32(static_cast<const void *>(
-                             Bytes.data() + (Bytes.size() - PayloadSize)),
-                         static_cast<size_t>(PayloadSize)) != Crc)
-        throw ser::SerializeError("checksum mismatch");
-      E.FunctionName = R.str();
-      if (!safeFileName(E.FunctionName))
-        throw ser::SerializeError("invalid function name");
-      E.Sig = ser::readTypeSignature(R);
-      E.NumOuts = R.u32();
-      E.SoBytes = R.str();
-      if (!R.atEnd())
-        throw ser::SerializeError("trailing bytes after payload");
-      if (E.SoBytes.empty())
-        throw ser::SerializeError("empty shared object");
+  // The source-hash check runs at adoption time, as for IR entries.
+  sealed::Kind K = nativeKind(NativeExtra);
+  for (const std::string &Path : filesWithExtension(Dir, kNativeExtension)) {
+    NativeEntry E;
+    sealed::Verdict V =
+        sealed::load(Path, K, [&](ser::ByteReader &R) { E = readNative(R); });
+    if (V == sealed::Verdict::Ok) {
       E.Path = Path;
       Out.push_back(std::move(E));
-      V = Verdict::Ok;
-    } catch (...) {
-      // fall through to the verdict handling below
     }
-
-    std::error_code IgnoredEC;
-    switch (V) {
-    case Verdict::Ok: {
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.NativeLoaded;
-      break;
-    }
-    case Verdict::Corrupt: {
-      fs::rename(Path, Path + ".corrupt", IgnoredEC);
-      if (IgnoredEC)
-        fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.NativeQuarantined;
-      break;
-    }
-    case Verdict::Skew: {
-      fs::remove(Path, IgnoredEC);
-      std::lock_guard<std::mutex> L(Mutex);
-      ++Stats.NativeSkewed;
-      break;
-    }
-    }
+    std::lock_guard<std::mutex> L(Mutex);
+    ++(V == sealed::Verdict::Ok     ? Stats.NativeLoaded
+       : V == sealed::Verdict::Skew ? Stats.NativeSkewed
+                                    : Stats.NativeQuarantined);
   }
   return Out;
 }
 
 std::string RepoStore::profilePath() const {
   return Dir + "/" + kProfileFileName;
-}
-
-std::string RepoStore::encodeProfiles(const std::vector<ProfileSummary> &Ps) {
-  ser::ByteWriter P;
-  P.u32(static_cast<uint32_t>(Ps.size()));
-  for (const ProfileSummary &S : Ps) {
-    P.str(S.Name);
-    P.u64(S.Invocations);
-    P.u64(S.OtherSignatures);
-    size_t N = std::min(S.Sigs.size(), kProfileTopK);
-    P.u32(static_cast<uint32_t>(N));
-    for (size_t I = 0; I != N; ++I) {
-      ser::writeTypeSignature(P, S.Sigs[I].Sig);
-      P.u64(S.Sigs[I].Count);
-    }
-  }
-  std::string Payload = P.take();
-  ser::ByteWriter W;
-  W.u32(kProfileMagic);
-  W.u32(kProfileFormatVersion);
-  W.u64(buildStamp());
-  W.u64(Payload.size());
-  W.u32(hashing::crc32(Payload));
-  std::string File = W.take();
-  File += Payload;
-  return File;
 }
 
 bool RepoStore::saveProfiles(const std::vector<ProfileSummary> &Ps) {
@@ -550,9 +445,10 @@ bool RepoStore::saveProfiles(const std::vector<ProfileSummary> &Ps) {
     std::vector<ProfileSummary> Clean;
     Clean.reserve(Ps.size());
     for (const ProfileSummary &S : Ps)
-      if (safeFileName(S.Name))
+      if (isIdentifier(S.Name))
         Clean.push_back(S);
-    std::string Bytes = encodeProfiles(Clean);
+    std::string Bytes = sealed::seal(
+        profileKind(), [&](ser::ByteWriter &W) { writeProfiles(W, Clean); });
     std::string Error;
     if (!atomicfile::writeFileAtomic(profilePath(), Bytes, &Error))
       throw std::runtime_error(Error);
@@ -576,93 +472,17 @@ std::vector<RepoStore::ProfileSummary> RepoStore::loadProfiles() {
   if (!fs::exists(Path, ExistsEC) || ExistsEC)
     return Out; // a missing profile file is a routine cold start
 
-  // The same ladder as .mjo entries; there is no source-hash rung because
-  // profiles are advisory - a stale profile mis-ranks the queue, and the
-  // engine guards observed signatures against the live arity before use.
-  enum class Verdict { Ok, Corrupt, Skew } V = Verdict::Corrupt;
-  try {
-    faults::maybeThrow(faults::Site::RepoLoad);
-    std::error_code SzEC;
-    uint64_t Size = fs::file_size(Path, SzEC);
-    if (SzEC || Size > kMaxFileBytes)
-      throw ser::SerializeError("unreadable or oversized file");
-    std::string Bytes;
-    if (!atomicfile::readFile(Path, Bytes))
-      throw ser::SerializeError("cannot read file");
-
-    ser::ByteReader R(Bytes);
-    if (R.u32() != kProfileMagic)
-      throw ser::SerializeError("bad magic");
-    if (R.u32() != kProfileFormatVersion) {
-      V = Verdict::Skew;
-      throw ser::SerializeError("format version skew");
-    }
-    if (R.u64() != buildStamp()) {
-      V = Verdict::Skew;
-      throw ser::SerializeError("build stamp skew");
-    }
-    uint64_t PayloadSize = R.u64();
-    uint32_t Crc = R.u32();
-    if (PayloadSize != R.remaining())
-      throw ser::SerializeError("payload size mismatch");
-    if (hashing::crc32(static_cast<const void *>(
-                           Bytes.data() + (Bytes.size() - PayloadSize)),
-                       static_cast<size_t>(PayloadSize)) != Crc)
-      throw ser::SerializeError("checksum mismatch");
-
-    uint32_t Count = R.u32();
-    std::vector<ProfileSummary> Decoded;
-    Decoded.reserve(Count);
-    for (uint32_t I = 0; I != Count; ++I) {
-      ProfileSummary S;
-      S.Name = R.str();
-      if (!safeFileName(S.Name))
-        throw ser::SerializeError("invalid function name");
-      S.Invocations = R.u64();
-      S.OtherSignatures = R.u64();
-      uint32_t NSigs = R.u32();
-      if (NSigs > kProfileTopK)
-        throw ser::SerializeError("signature count out of range");
-      S.Sigs.reserve(NSigs);
-      for (uint32_t J = 0; J != NSigs; ++J) {
-        ProfileSig PS;
-        PS.Sig = ser::readTypeSignature(R);
-        PS.Count = R.u64();
-        PS.SigStr = PS.Sig.str();
-        S.Sigs.push_back(std::move(PS));
-      }
-      Decoded.push_back(std::move(S));
-    }
-    if (!R.atEnd())
-      throw ser::SerializeError("trailing bytes after payload");
-    Out = std::move(Decoded);
-    V = Verdict::Ok;
-  } catch (...) {
-    // fall through to the verdict handling below
-  }
-
-  std::error_code IgnoredEC;
-  switch (V) {
-  case Verdict::Ok: {
-    std::lock_guard<std::mutex> L(Mutex);
+  // There is no source-hash check: profiles are advisory - a stale profile
+  // mis-ranks the queue, and the engine guards observed signatures against
+  // the live arity before use.
+  sealed::Verdict V = sealed::load(
+      Path, profileKind(), [&](ser::ByteReader &R) { Out = readProfiles(R); });
+  std::lock_guard<std::mutex> L(Mutex);
+  if (V == sealed::Verdict::Ok)
     Stats.ProfilesLoaded += Out.size();
-    break;
-  }
-  case Verdict::Corrupt: {
-    fs::rename(Path, Path + ".corrupt", IgnoredEC);
-    if (IgnoredEC)
-      fs::remove(Path, IgnoredEC);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.ProfilesQuarantined;
-    break;
-  }
-  case Verdict::Skew: {
-    fs::remove(Path, IgnoredEC);
-    std::lock_guard<std::mutex> L(Mutex);
-    ++Stats.ProfilesSkewed;
-    break;
-  }
-  }
+  else
+    ++(V == sealed::Verdict::Skew ? Stats.ProfilesSkewed
+                                  : Stats.ProfilesQuarantined);
   return Out;
 }
 

@@ -12,13 +12,14 @@
 /// `<function>.<sighash>.mjo`, written crash-safely (temp file + fsync +
 /// atomic rename; see support/AtomicFile.h).
 ///
-/// Every file carries a header with a format version, the engine build
-/// stamp, the source .m file's content hash, and a CRC32 of the payload.
-/// Loading walks a validation ladder - magic, format version, build stamp,
-/// payload size, checksum, bounds-checked decode - and any rung that fails
-/// quarantines the file (renamed to `*.corrupt`, or deleted for benign
-/// version/build skew) and the engine transparently recompiles. Corruption
-/// degrades to a cold compile, never a crash or a wrong answer.
+/// Every file is sealed (support/SealedFile.h): a header carrying the format
+/// version, the engine build stamp and a CRC32 of the payload, which starts
+/// with the source .m file's content hash. A file failing validation is
+/// quarantined (renamed `*.corrupt`, or deleted for benign version/build
+/// skew) and the engine transparently recompiles; the source hash is
+/// checked at adoption. Corruption degrades to a cold compile, never a
+/// crash or a wrong answer. The native (`.mjn`) and profile (`profiles.mjp`)
+/// files below travel in the same envelope.
 ///
 /// Thread-safe: saves run on the engine's idle-priority pool while the
 /// interactive thread may be erasing entries for a reloaded function.
@@ -41,7 +42,7 @@ namespace majic {
 struct RepoStoreStats {
   uint64_t Saved = 0;        ///< entries written successfully
   uint64_t SaveFailures = 0; ///< saves that failed (I/O or injected fault)
-  uint64_t Loaded = 0;       ///< entries that passed the validation ladder
+  uint64_t Loaded = 0;       ///< entries that passed validation
   uint64_t Quarantined = 0;  ///< corrupt files renamed to *.corrupt
   uint64_t Skewed = 0;       ///< discarded for format/build-stamp skew
   uint64_t StaleSource = 0;  ///< discarded because the source hash drifted
@@ -76,9 +77,9 @@ public:
     std::string Path;        ///< the file it came from
   };
 
-  /// Reads and validates every entry in the store. Files failing the
-  /// validation ladder are quarantined or discarded (see stats()); this
-  /// never throws and never crashes, whatever the bytes on disk are.
+  /// Reads and validates every entry in the store. Files failing
+  /// validation are quarantined or discarded (see stats()); this never
+  /// throws and never crashes, whatever the bytes on disk are.
   std::vector<Entry> loadAll();
 
   /// Persists one compiled version (crash-safely; replaces any previous
@@ -124,19 +125,15 @@ public:
   /// save(): a failed write only costs next session's hot-first ordering.
   bool saveProfiles(const std::vector<ProfileSummary> &Profiles);
 
-  /// Reads the profile summary file through the same validation ladder as
-  /// .mjo entries (magic, format version, build stamp, payload size, CRC32,
-  /// bounds-checked decode). A corrupt file is quarantined (*.corrupt), a
-  /// build/format-skewed one deleted; either way this returns empty and
-  /// the session cold-starts its profile. Never throws.
+  /// Reads and validates the profile summary file. A corrupt file is
+  /// quarantined (*.corrupt), a build/format-skewed one deleted; either way
+  /// this returns empty and the session cold-starts its profile. Never
+  /// throws.
   std::vector<ProfileSummary> loadProfiles();
 
   /// Full path of the profile summary file (even when the store directory
   /// could not be created).
   std::string profilePath() const;
-
-  /// Serialized image of a profile summary file; exposed for fuzz tests.
-  static std::string encodeProfiles(const std::vector<ProfileSummary> &Ps);
 
   //===--------------------------------------------------------------------===//
   // Native payloads (.mjn): machine code beside the IR
@@ -178,22 +175,13 @@ public:
                   uint32_t NumOuts, const std::string &SoBytes,
                   uint64_t SourceHash);
 
-  /// Reads and validates every .mjn entry through the same ladder as
-  /// loadAll() (magic, format version, native build stamp, payload size,
-  /// CRC32, bounds-checked decode; *.corrupt quarantine on failure).
+  /// Reads and validates every .mjn entry like loadAll() does .mjo ones,
+  /// under the native stamp.
   std::vector<NativeEntry> loadAllNative();
 
   /// Deletes every on-disk native version of \p FunctionName (runtime
   /// quarantine or source turnover; the .mjo files are left alone).
   void eraseNative(const std::string &FunctionName);
-
-  /// Serialized file image of one native entry; exposed so the loader
-  /// fuzz tests can corrupt known-good bytes. \p StampExtra plays the
-  /// role of setNativeStampExtra for the static encoder.
-  static std::string encodeNative(const std::string &FunctionName,
-                                  const TypeSignature &Sig, uint32_t NumOuts,
-                                  const std::string &SoBytes,
-                                  uint64_t SourceHash, uint64_t StampExtra);
 
   RepoStoreStats stats() const;
 
@@ -203,10 +191,6 @@ public:
   bool nativeTrusted() const { return NativeTrusted; }
 
   const std::string &directory() const { return Dir; }
-
-  /// Serialized file image of one entry (header + payload); exposed so the
-  /// loader fuzz tests can corrupt known-good bytes.
-  static std::string encode(const CompiledObject &Obj, uint64_t SourceHash);
 
 private:
   std::string entryPath(const CompiledObject &Obj) const;

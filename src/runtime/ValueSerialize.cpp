@@ -6,7 +6,7 @@
 
 #include "runtime/ValueSerialize.h"
 
-#include "support/Hashing.h"
+#include "support/StringUtils.h"
 
 #include <limits>
 
@@ -19,20 +19,17 @@ namespace {
 constexpr size_t kSourceBytes = 4 + 4;  // two length-prefixed strings
 constexpr size_t kVarBytes = 4 + 1 + 5; // name prefix + class + string value
 
-/// Workspace variable names come from the parser, so anything else in a
-/// snapshot is corruption that slipped past the checksum.
-bool validIdentifier(const std::string &S) {
-  if (S.empty())
-    return false;
-  auto Word = [](char C) {
-    return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
-  };
-  if (!Word(S[0]))
-    return false;
-  for (char C : S.substr(1))
-    if (!Word(C) && !(C >= '0' && C <= '9'))
-      return false;
-  return true;
+void writeWorkspaceImage(ByteWriter &P, const WorkspaceImage &W) {
+  P.u32(static_cast<uint32_t>(W.Sources.size()));
+  for (const WorkspaceImage::SourceDef &S : W.Sources) {
+    P.str(S.Name);
+    P.str(S.Text);
+  }
+  P.u32(static_cast<uint32_t>(W.Vars.size()));
+  for (const WorkspaceImage::VarDef &Var : W.Vars) {
+    P.str(Var.Name);
+    writeValue(P, *Var.V);
+  }
 }
 
 } // namespace
@@ -97,46 +94,7 @@ Value majic::ser::readValue(ByteReader &R) {
   return V;
 }
 
-std::string majic::ser::encodeWorkspaceImage(const WorkspaceImage &W) {
-  ByteWriter P;
-  P.u32(static_cast<uint32_t>(W.Sources.size()));
-  for (const WorkspaceImage::SourceDef &S : W.Sources) {
-    P.str(S.Name);
-    P.str(S.Text);
-  }
-  P.u32(static_cast<uint32_t>(W.Vars.size()));
-  for (const WorkspaceImage::VarDef &Var : W.Vars) {
-    P.str(Var.Name);
-    writeValue(P, *Var.V);
-  }
-  std::string Payload = P.take();
-
-  ByteWriter H;
-  H.u32(kWorkspaceMagic);
-  H.u32(kWorkspaceFormatVersion);
-  H.u64(Payload.size());
-  H.u32(hashing::crc32(Payload));
-  std::string Out = H.take();
-  Out += Payload;
-  return Out;
-}
-
-WorkspaceImage majic::ser::decodeWorkspaceImage(const std::string &Bytes) {
-  ByteReader R(Bytes);
-  if (R.u32() != kWorkspaceMagic)
-    throw SerializeError("bad workspace magic");
-  uint32_t Version = R.u32();
-  if (Version != kWorkspaceFormatVersion)
-    throw WorkspaceSkew(Version);
-  uint64_t PayloadSize = R.u64();
-  uint32_t Crc = R.u32();
-  if (PayloadSize != R.remaining())
-    throw SerializeError("payload size disagrees with file size");
-  if (hashing::crc32(static_cast<const void *>(
-                         Bytes.data() + (Bytes.size() - R.remaining())),
-                     R.remaining()) != Crc)
-    throw SerializeError("checksum mismatch");
-
+WorkspaceImage majic::ser::readWorkspaceImage(ByteReader &R) {
   WorkspaceImage W;
   uint32_t NSources = R.arrayLen(kSourceBytes);
   W.Sources.reserve(NSources);
@@ -151,7 +109,9 @@ WorkspaceImage majic::ser::decodeWorkspaceImage(const std::string &Bytes) {
   for (uint32_t I = 0; I != NVars; ++I) {
     WorkspaceImage::VarDef Var;
     Var.Name = R.str();
-    if (!validIdentifier(Var.Name))
+    // Variable names come from the parser, so anything else in a snapshot
+    // is corruption that slipped past the checksum.
+    if (!isIdentifier(Var.Name))
       throw SerializeError("workspace variable name is not an identifier");
     Var.V = std::make_shared<Value>(readValue(R));
     W.Vars.push_back(std::move(Var));
@@ -159,4 +119,14 @@ WorkspaceImage majic::ser::decodeWorkspaceImage(const std::string &Bytes) {
   if (!R.atEnd())
     throw SerializeError("trailing bytes after workspace payload");
   return W;
+}
+
+std::string majic::ser::encodeWorkspaceImage(const WorkspaceImage &W) {
+  return sealed::seal(kWorkspaceFile,
+                      [&](ByteWriter &P) { writeWorkspaceImage(P, W); });
+}
+
+WorkspaceImage majic::ser::decodeWorkspaceImage(const std::string &Bytes) {
+  ByteReader R = sealed::unseal(kWorkspaceFile, Bytes);
+  return readWorkspaceImage(R);
 }

@@ -10,16 +10,11 @@
 /// session's state is snapshotted to disk (`.mjws`) and its slot freed; a
 /// later request resurrects it transparently. MaJIC's responsiveness story
 /// assumes an interactive session whose state survives the compiler's
-/// adventures, so the snapshot gets the same crash-safety discipline as
-/// the `.mjo` code store: a validation ladder of
-///
-///   magic -> format version -> payload size -> CRC32 -> bounds-checked
-///   decode
-///
-/// where any rung's failure classifies the snapshot as corrupt (quarantine
-/// on disk, session restarts empty with a loud error) rather than ever
-/// admitting a torn workspace. A version-skew failure is its own verdict:
-/// an old snapshot after an upgrade is routine turnover, deleted silently.
+/// adventures, so the snapshot travels in the same sealed envelope as the
+/// code store's files (support/SealedFile.h): a torn or rotted snapshot is
+/// classified corrupt (quarantine on disk, session restarts empty with a
+/// loud error) rather than ever admitted, and one from another format
+/// version is routine turnover, deleted silently.
 ///
 /// The payload is self-contained: the session's interactive function
 /// definitions (source text, replayed through the engine so compiled code
@@ -36,6 +31,7 @@
 
 #include "runtime/Value.h"
 #include "support/ByteStream.h"
+#include "support/SealedFile.h"
 
 #include <cstdint>
 #include <string>
@@ -44,22 +40,16 @@
 namespace majic {
 namespace ser {
 
-/// "MJWS" little-endian, the workspace snapshot magic.
-constexpr uint32_t kWorkspaceMagic = 0x53574a4d;
-
-/// Version of the snapshot encoding itself. Unlike compiled code, a
-/// workspace carries no ABI beyond the Value model, so this only bumps
-/// when the byte layout below changes.
-constexpr uint32_t kWorkspaceFormatVersion = 1;
-
-/// Raised when a snapshot's format version differs from ours: not
-/// corruption but turnover, so stores delete rather than quarantine.
-class WorkspaceSkew : public SerializeError {
-public:
-  explicit WorkspaceSkew(uint32_t Found)
-      : SerializeError("workspace format version " + std::to_string(Found) +
-                       " (want " + std::to_string(kWorkspaceFormatVersion) +
-                       ")") {}
+/// The workspace snapshot envelope. A workspace carries no ABI beyond the
+/// Value model, so the stamp is a constant and only the version bumps, when
+/// the payload layout below changes. Oversized files are rejected before
+/// reading: a torn length field must not drive a giant allocation.
+constexpr sealed::Kind kWorkspaceFile = {
+    .Magic = 0x53574a4d, // "MJWS" little-endian
+    .Version = 2,
+    .Stamp = 0x73772d63696a616dull, // "majic-ws" little-endian
+    .MaxFileBytes = 1ull << 30,
+    .LoadSite = faults::Site::SessionSnapshotLoad,
 };
 
 /// Everything a session needs to come back from disk: the interactive
@@ -87,12 +77,16 @@ void writeValue(ByteWriter &W, const Value &V);
 /// flag disagreeing with the class).
 Value readValue(ByteReader &R);
 
-/// Full snapshot: ladder header + payload.
+/// Decodes a snapshot payload (the envelope already removed), consuming
+/// all of \p R; throws SerializeError on a malformed payload, a
+/// non-identifier variable name, or trailing bytes.
+WorkspaceImage readWorkspaceImage(ByteReader &R);
+
+/// Full snapshot file: sealed envelope + payload.
 std::string encodeWorkspaceImage(const WorkspaceImage &W);
 
-/// Walks the full ladder; throws WorkspaceSkew on a version mismatch and
-/// SerializeError on everything else (bad magic, size mismatch, checksum
-/// mismatch, malformed payload, trailing bytes).
+/// Unseals and decodes a full snapshot file; throws sealed::SkewError on a
+/// version or stamp mismatch and SerializeError on everything else.
 WorkspaceImage decodeWorkspaceImage(const std::string &Bytes);
 
 } // namespace ser

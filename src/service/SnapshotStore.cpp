@@ -8,6 +8,7 @@
 
 #include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
+#include "support/SealedFile.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -106,57 +107,30 @@ SnapshotStore::LoadStatus SnapshotStore::load(uint64_t Id,
   if (!Usable || !fs::exists(Path, EC) || EC)
     return LoadStatus::Missing;
 
-  enum class Verdict { Corrupt, Skew, Ok } V = Verdict::Corrupt;
-  std::string Reason = "unknown";
-  try {
-    faults::maybeThrow(faults::Site::SessionSnapshotLoad);
-    std::error_code SzEC;
-    uint64_t Size = fs::file_size(Path, SzEC);
-    if (SzEC || Size > kMaxFileBytes)
-      throw ser::SerializeError("unreadable or oversized file");
-    std::string Bytes;
-    if (!atomicfile::readFile(Path, Bytes))
-      throw ser::SerializeError("cannot read file");
-    faults::killPoint(faults::Site::SessionSnapshotLoad);
-    Out = ser::decodeWorkspaceImage(Bytes);
-    V = Verdict::Ok;
-  } catch (const ser::WorkspaceSkew &E) {
-    V = Verdict::Skew;
-    Reason = E.what();
-  } catch (const std::exception &E) {
-    Reason = E.what();
-  }
-
-  std::error_code IgnoredEC;
+  std::string Reason;
+  sealed::Verdict V = sealed::load(
+      Path, ser::kWorkspaceFile,
+      [&](ser::ByteReader &R) { Out = ser::readWorkspaceImage(R); }, &Reason);
   switch (V) {
-  case Verdict::Ok: {
+  case sealed::Verdict::Ok: {
     faults::killPoint(faults::Site::SessionSnapshotLoad);
     std::lock_guard<std::mutex> L(Mutex);
     ++Stats.Loaded;
     return LoadStatus::Ok;
   }
-  case Verdict::Corrupt: {
-    // Quarantine, don't delete: the bytes are evidence, and the rename
-    // takes the file out of the .mjws namespace so the session is never
-    // offered the same torn snapshot twice. If even the rename fails,
-    // fall back to removal.
+  case sealed::Verdict::Corrupt: {
     std::fprintf(stderr,
                  "majic: workspace snapshot for session %llu failed "
                  "validation (%s); quarantined as '%s.corrupt', session "
                  "restarts empty\n",
                  (unsigned long long)Id, Reason.c_str(), Path.c_str());
-    fs::rename(Path, Path + ".corrupt", IgnoredEC);
-    if (IgnoredEC)
-      fs::remove(Path, IgnoredEC);
     std::lock_guard<std::mutex> L(Mutex);
     ++Stats.Quarantined;
     return LoadStatus::Corrupt;
   }
-  case Verdict::Skew: {
-    // A different snapshot format owns this file; discarding it is
-    // routine turnover, not corruption - the session restarts empty
-    // without the corruption klaxon.
-    fs::remove(Path, IgnoredEC);
+  case sealed::Verdict::Skew: {
+    // Routine turnover: the session restarts empty without the
+    // corruption klaxon.
     std::lock_guard<std::mutex> L(Mutex);
     ++Stats.Skewed;
     return LoadStatus::Missing;

@@ -7,20 +7,18 @@
 /// \file
 /// The on-disk side of session hibernation: one `session-<id>.mjws` file
 /// per hibernated workspace under MAJIC_SESSION_DIR, written atomically
-/// (temp + fsync + rename via support/AtomicFile) and validated on the way
-/// back in by runtime/ValueSerialize's ladder. The store's verdicts mirror
-/// the `.mjo` code store exactly:
+/// (temp + fsync + rename via support/AtomicFile) in the sealed envelope
+/// (support/SealedFile; payload from runtime/ValueSerialize). Load verdicts:
 ///
 ///   Ok      the workspace decoded clean; the caller owns deleting the
 ///           file once the resurrected session is live (a snapshot must
 ///           never outlive the state it describes, or a later crash could
 ///           resurrect the past).
-///   Missing no snapshot - nothing was ever saved, or a completed
-///           resurrect consumed it.
-///   Corrupt any ladder rung failed: the file is renamed `*.corrupt`
-///           (evidence, and out of the `.mjws` namespace) and the session
-///           restarts empty. Version skew is the one exception - routine
-///           turnover, deleted silently.
+///   Missing no snapshot - nothing was ever saved, a completed resurrect
+///           consumed it, or it was another format version's (deleted
+///           silently as skew).
+///   Corrupt the envelope or payload failed validation: the file has been
+///           quarantined as `*.corrupt` and the session restarts empty.
 ///
 /// Fault sites `session-snapshot-save` / `session-snapshot-load` gate the
 /// two paths for both throw-mode sweeps (clean failure handling) and
@@ -47,10 +45,6 @@ public:
   explicit SnapshotStore(std::string Dir);
 
   enum class LoadStatus { Ok, Missing, Corrupt };
-
-  /// Oversized snapshot files are rejected as corrupt before reading:
-  /// a torn length field must not drive a giant allocation.
-  static constexpr uint64_t kMaxFileBytes = 1ull << 30;
 
   /// Atomically persists \p Img as session \p Id's snapshot. Returns false
   /// on any failure (including an injected one); a failed save leaves no

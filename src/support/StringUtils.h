@@ -26,6 +26,11 @@ std::vector<std::string> splitString(const std::string &S, char Sep);
 /// True if \p S ends with \p Suffix.
 bool endsWith(const std::string &S, const std::string &Suffix);
 
+/// True if \p S is an ASCII identifier, [A-Za-z_][A-Za-z0-9_]*: the shape of
+/// every MATLAB function and variable name, and therefore filesystem-safe.
+/// Names decoded from disk must pass it before they are used.
+bool isIdentifier(const std::string &S);
+
 /// Renders a double the way the MATLAB "format short g" display would,
 /// trimming trailing zeros (used by disp/printing and golden tests).
 std::string formatDouble(double X);

@@ -132,6 +132,18 @@ std::string majic::formatDouble(double X) {
   return S;
 }
 
+bool majic::isIdentifier(const std::string &S) {
+  auto Word = [](char C) {
+    return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+  };
+  if (S.empty() || !Word(S[0]))
+    return false;
+  for (char C : S)
+    if (!Word(C) && !(C >= '0' && C <= '9'))
+      return false;
+  return true;
+}
+
 std::string majic::cIdentifier(const std::string &S) {
   std::string Out;
   Out.reserve(S.size() + 1);

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -290,6 +291,58 @@ TEST_F(NativeEngineTest, MissingCompilerFallsBackToVm) {
   EXPECT_TRUE(filesWith(".mjn").empty());
 }
 
+TEST_F(NativeEngineTest, ScratchDirectoryHonorsTmpdir) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // A compiler wrapper logs its arguments, so the test can see where the
+  // (already removed) scratch directory was.
+  fs::path Tmp = Dir / "tmp";
+  fs::create_directories(Tmp);
+  fs::path Log = Dir / "cc-args.log";
+  fs::path Wrapper = Dir / "cc-wrapper.sh";
+  {
+    std::ofstream W(Wrapper);
+    W << "#!/bin/sh\nprintf '%s\\n' \"$@\" >> '" << Log.string()
+      << "'\nexec cc \"$@\"\n";
+  }
+  fs::permissions(Wrapper, fs::perms::owner_all);
+
+  const char *OldTmp = std::getenv("TMPDIR");
+  std::string Saved = OldTmp ? OldTmp : "";
+  setenv("TMPDIR", Tmp.c_str(), 1);
+  double Native = 0;
+  uint64_t Compiles = 0;
+  {
+    EngineOptions O = nativeOpts();
+    O.NativeCC = Wrapper.string();
+    Engine E(O);
+    if (E.addSource("hot", kHotSource))
+      Native = E.callFunction("hot", {intArg(kHotArg)}, 1, SourceLoc())[0]
+                   ->scalarValue();
+    Compiles = E.nativeCompiles();
+  }
+  if (OldTmp)
+    setenv("TMPDIR", Saved.c_str(), 1);
+  else
+    unsetenv("TMPDIR");
+
+  EXPECT_EQ(Compiles, 1u);
+  EXPECT_DOUBLE_EQ(Native, kHotExpect); // the VM's answer
+
+  std::ifstream In(Log);
+  std::vector<std::string> Args;
+  for (std::string A; std::getline(In, A);)
+    Args.push_back(A);
+  std::string Out;
+  for (size_t I = 0; I + 1 < Args.size(); ++I)
+    if (Args[I] == "-o")
+      Out = Args[I + 1];
+  ASSERT_FALSE(Out.empty()) << "the wrapper never saw a compile";
+  EXPECT_EQ(Out.rfind((Tmp / "majic-native-").string(), 0), 0u) << Out;
+  EXPECT_NE(Out.rfind("/tmp/majic-native-", 0), 0u) << Out;
+  EXPECT_TRUE(fs::is_empty(Tmp)) << "scratch directory left behind";
+}
+
 TEST_F(NativeEngineTest, NativeErrorTextMatchesVm) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";
@@ -402,59 +455,6 @@ TEST_F(NativeStoreTest, RoundTrip) {
   EXPECT_EQ(Entries[0].SourceHash, 12345u);
   EXPECT_EQ(Entries[0].SoBytes, std::string("so-bytes\0with-nul", 17));
   EXPECT_EQ(S.stats().NativeLoaded, 1u);
-}
-
-TEST_F(NativeStoreTest, BitFlipQuarantines) {
-  saveOne(7);
-  fs::path P = onlyMjn();
-  ASSERT_FALSE(P.empty());
-  {
-    std::fstream F(P, std::ios::in | std::ios::out | std::ios::binary);
-    F.seekp(static_cast<std::streamoff>(fs::file_size(P)) - 3);
-    F.put('\x5a');
-  }
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(7);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeQuarantined, 1u);
-  EXPECT_TRUE(anyCorrupt());
-  EXPECT_TRUE(onlyMjn().empty()); // renamed away, never served again
-}
-
-TEST_F(NativeStoreTest, TruncationQuarantines) {
-  saveOne(7);
-  fs::path P = onlyMjn();
-  ASSERT_FALSE(P.empty());
-  fs::resize_file(P, 10);
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(7);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeQuarantined, 1u);
-  EXPECT_TRUE(anyCorrupt());
-}
-
-TEST_F(NativeStoreTest, GarbageFileQuarantines) {
-  fs::create_directories(Dir);
-  std::ofstream(Dir / "junk.0000.mjn") << "this was never a native entry";
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(7);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeQuarantined, 1u);
-  EXPECT_TRUE(anyCorrupt());
-}
-
-TEST_F(NativeStoreTest, StampSkewDiscardsQuietly) {
-  saveOne(/*Extra=*/7);
-  // A different stamp extra models an ABI bump or a compiler upgrade: the
-  // entry is plausible bytes from the wrong world - dropped, not
-  // quarantined, and the file removed so it is not re-judged every start.
-  RepoStore S(Dir.string());
-  S.setNativeStampExtra(8);
-  EXPECT_TRUE(S.loadAllNative().empty());
-  EXPECT_EQ(S.stats().NativeSkewed, 1u);
-  EXPECT_EQ(S.stats().NativeQuarantined, 0u);
-  EXPECT_FALSE(anyCorrupt());
-  EXPECT_TRUE(onlyMjn().empty());
 }
 
 TEST_F(NativeStoreTest, SharedWritableDirRefusesNativePayloads) {

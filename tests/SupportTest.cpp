@@ -45,6 +45,24 @@ TEST(StringUtils, EndsWith) {
   EXPECT_FALSE(endsWith("m", ".m"));
 }
 
+TEST(StringUtils, IsIdentifier) {
+  EXPECT_TRUE(isIdentifier("ff"));
+  EXPECT_TRUE(isIdentifier("x_2"));
+  EXPECT_TRUE(isIdentifier("_tmp"));
+  EXPECT_TRUE(isIdentifier("_"));
+  EXPECT_FALSE(isIdentifier(""));
+  EXPECT_FALSE(isIdentifier("2x"));
+  EXPECT_FALSE(isIdentifier("9"));
+  EXPECT_FALSE(isIdentifier("caf\xc3\xa9")); // non-ASCII letter
+  EXPECT_FALSE(isIdentifier("\xc3\xa9t"));
+  EXPECT_FALSE(isIdentifier("a/b"));
+  EXPECT_FALSE(isIdentifier("../x"));
+  EXPECT_FALSE(isIdentifier("f.m"));
+  EXPECT_FALSE(isIdentifier("."));
+  EXPECT_FALSE(isIdentifier("not an identifier"));
+  EXPECT_FALSE(isIdentifier(std::string("a\0b", 3)));
+}
+
 TEST(StringUtils, FormatDouble) {
   EXPECT_EQ(formatDouble(42), "42");
   EXPECT_EQ(formatDouble(-3), "-3");
