@@ -51,6 +51,16 @@ uint64_t envLimit(const char *Name) {
   return (End && *End == '\0') ? N : 0;
 }
 
+/// \p Opt when set, else - when environment fallbacks are allowed - the
+/// environment knob \p Env (empty when neither is set).
+std::string optionOrEnv(const std::string &Opt, const char *Env,
+                        bool EnvFallbacks) {
+  if (!Opt.empty() || !EnvFallbacks)
+    return Opt;
+  const char *V = std::getenv(Env);
+  return V ? V : "";
+}
+
 /// The profile-layer signature for invocations that never compute one
 /// (InterpretOnly policy, scripts).
 const std::string UntypedSig = "(untyped)";
@@ -148,16 +158,11 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   // not all dump into one file). Tracing is enabled only when a
   // destination exists - the disabled path is one relaxed atomic load per
   // site.
-  TraceFile = Opts.TracePath;
-  if (TraceFile.empty() && Opts.EnvFallbacks)
-    if (const char *Env = std::getenv("MAJIC_TRACE"); Env && *Env)
-      TraceFile = Env;
+  TraceFile = optionOrEnv(Opts.TracePath, "MAJIC_TRACE", Opts.EnvFallbacks);
   if (!TraceFile.empty())
     obs::setTraceEnabled(true);
-  MetricsFile = Opts.MetricsPath;
-  if (MetricsFile.empty() && Opts.EnvFallbacks)
-    if (const char *Env = std::getenv("MAJIC_METRICS"); Env && *Env)
-      MetricsFile = Env;
+  MetricsFile =
+      optionOrEnv(Opts.MetricsPath, "MAJIC_METRICS", Opts.EnvFallbacks);
   // Environment kill switch for elementwise fusion (A/B measurement).
   if (const char *Env = std::getenv("MAJIC_NO_FUSION"); Env && *Env)
     Opts.FuseElementwise = false;
@@ -177,10 +182,8 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   // save left behind, then read and validate every entry. Entries wait in
   // PendingWarm until their source is loaded - only then can the source
   // hash confirm the compiled code still matches the .m text.
-  std::string RepoDir = Opts.RepoDir;
-  if (RepoDir.empty() && Opts.EnvFallbacks)
-    if (const char *Env = std::getenv("MAJIC_REPO_DIR"); Env && *Env)
-      RepoDir = Env;
+  std::string RepoDir =
+      optionOrEnv(Opts.RepoDir, "MAJIC_REPO_DIR", Opts.EnvFallbacks);
   if (!RepoDir.empty()) {
     Store = std::make_unique<RepoStore>(RepoDir);
     Store->sweepTemps();
@@ -210,10 +213,8 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   // in-memory profiles right away (so the snooper ranks hot-first before
   // anything runs); the observed signatures wait in PendingProfileSigs
   // until their source is loaded and the arity can be checked.
-  std::string ProfDir = Opts.ProfileDir;
-  if (ProfDir.empty() && Opts.EnvFallbacks)
-    if (const char *Env = std::getenv("MAJIC_PROFILE_DIR"); Env && *Env)
-      ProfDir = Env;
+  std::string ProfDir =
+      optionOrEnv(Opts.ProfileDir, "MAJIC_PROFILE_DIR", Opts.EnvFallbacks);
   if (ProfDir.empty())
     ProfDir = RepoDir;
   if (!ProfDir.empty()) {
@@ -263,9 +264,7 @@ void Engine::shutdown() {
   ShutdownDone = true;
   if (OwnedSpecPool) {
     // Workers observe Draining under SpecMutex and persist synchronously
-    // from then on, so nothing re-enqueues while the pool tears down (the
-    // old destructor nulled the pool member before joining, which raced
-    // the workers' own reads of it).
+    // from then on, so nothing re-enqueues while the pool tears down.
     {
       std::lock_guard<std::mutex> L(SpecMutex);
       Draining = true;
@@ -285,41 +284,16 @@ void Engine::shutdown() {
     // then wait out only the ones already running.
     std::unique_lock<std::mutex> L(SpecMutex);
     Draining = true;
-    for (auto It = QueuedIds.begin(); It != QueuedIds.end();) {
-      if (!SpecPool->cancel(It->second)) {
-        ++It; // already running; its body does its own bookkeeping
+    for (auto It = Tasks.begin(); It != Tasks.end();) {
+      if (It->Started || !SpecPool->cancel(It->PoolId)) {
+        ++It; // running; its body does its own bookkeeping
         continue;
       }
-      const std::string &Name = It->first;
-      auto QIt = std::find(QueuedOrder.begin(), QueuedOrder.end(), Name);
-      if (QIt != QueuedOrder.end())
-        QueuedOrder.erase(QIt);
-      auto FIt = std::find(InFlight.begin(), InFlight.end(), Name);
-      if (FIt != InFlight.end())
-        InFlight.erase(FIt);
-      --PendingCompiles;
-      Spec.Dropped.inc();
-      It = QueuedIds.erase(It);
+      if (It->Kind == TaskKind::Compile)
+        Spec.Dropped.inc();
+      It = Tasks.erase(It);
     }
-    for (auto It = QueuedSaveIds.begin(); It != QueuedSaveIds.end();) {
-      if (SpecPool->cancel(*It)) {
-        --PendingSaves;
-        It = QueuedSaveIds.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    for (auto It = QueuedNativeIds.begin(); It != QueuedNativeIds.end();) {
-      if (SpecPool->cancel(*It)) {
-        --PendingNative;
-        It = QueuedNativeIds.erase(It);
-      } else {
-        ++It;
-      }
-    }
-    SpecIdleCv.wait(L, [this] {
-      return PendingCompiles == 0 && PendingSaves == 0 && PendingNative == 0;
-    });
+    SpecIdleCv.wait(L, [this] { return tasksIdle(/*WithSaves=*/true); });
     SpecPool = nullptr;
   }
   // Persist the profile summary now that all recording is quiesced; the
@@ -500,21 +474,30 @@ const std::shared_ptr<FunctionInfo> &Engine::compileView(LoadedFunction &LF) {
   return LF.InlinedInfo;
 }
 
-CompileRequest Engine::makeRequest(const FunctionInfo *FI,
-                                   const TypeSignature &Sig, CodeGenMode Mode,
-                                   bool Optimistic) const {
-  CompileRequest Req;
-  Req.FI = FI;
-  Req.Sig = Sig;
-  Req.Mode = Mode;
-  Req.Platform = Opts.Platform;
-  Req.Infer = Opts.Infer;
-  Req.Infer.OptimisticRealMath &= Optimistic;
-  Req.RegAlloc = Opts.RegAlloc;
-  Req.UnrollSmallVectors =
-      Mode == CodeGenMode::Jit ? Opts.Platform.JitUnrollsSmallVectors : true;
-  Req.FuseElementwise = Opts.FuseElementwise;
-  return Req;
+Engine::LoadedFunction *Engine::compilable(const std::string &Name) {
+  LoadedFunction *LF = find(Name);
+  if (!LF || LF->F->isScript() || isQuarantined(Name) ||
+      compileView(*LF)->HasAmbiguousSymbols)
+    return nullptr;
+  return LF;
+}
+
+TypeSignature Engine::speculationSignature(const std::string &Name,
+                                           const FunctionInfo &FI,
+                                           const TypeSignature *Forced) {
+  // Pick order: an explicit override (re-speculation), then the
+  // most-called observed signature - what users actually call beats what
+  // the hint pass guesses - then the backward-hint guess, the cold-start
+  // fallback. Arity is checked against the live analysis view so a stale
+  // persisted profile can never force a wrong-arity compile.
+  size_t Arity = FI.F->params().size();
+  TypeSignature Sig;
+  if (Forced && Forced->size() == Arity)
+    Sig = *Forced;
+  else if (!observedSignatureFor(Name, Arity, Sig))
+    return speculateSignature(FI, Opts.Infer);
+  Spec.ObservedSigCompiles.inc();
+  return Sig;
 }
 
 CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
@@ -522,63 +505,64 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
                                            CodeGenMode Mode,
                                            CompiledObject::Origin From,
                                            bool Optimistic) {
-  LoadedFunction *LF = find(Name);
-  if (!LF || LF->F->isScript())
+  LoadedFunction *LF = compilable(Name);
+  if (!LF)
     return nullptr;
-  if (isQuarantined(Name))
-    return nullptr;
-  const std::shared_ptr<FunctionInfo> &FI = compileView(*LF);
-  if (FI->HasAmbiguousSymbols)
-    return nullptr;
-
   uint64_t Gen;
-  uint64_t SrcHash = 0;
-  bool HaveSrcHash = false;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
     Gen = SourceGeneration[Name];
-    auto HIt = SourceHashByFn.find(Name);
-    if (HIt != SourceHashByFn.end()) {
-      SrcHash = HIt->second;
-      HaveSrcHash = true;
-    }
-  }
-  // Cross-session reuse: another session may already have compiled exactly
-  // this (source, signature, configuration). A hit clones the immutable
-  // code body into this engine's repository - zero compile work.
-  std::string CacheKey;
-  if (Opts.SharedCache && HaveSrcHash) {
-    CacheKey =
-        SharedCodeCache::key(Name, SrcHash, CfgHash, Mode, Optimistic, Sig);
-    if (CompiledObjectPtr Cached = Opts.SharedCache->lookup(CacheKey)) {
-      try {
-        CompiledObject Obj;
-        Obj.FunctionName = Name;
-        Obj.Sig = Cached->Sig;
-        Obj.Code = Cached->Code;
-        Obj.Mode = Cached->Mode;
-        Obj.CompileSeconds = 0; // this session spent nothing
-        Obj.From = Cached->From;
-        Repo.insert(std::move(Obj));
-        CompiledObjectPtr Adopted = Repo.lookup(Name, Sig);
-        if (Adopted)
-          return Adopted;
-      } catch (...) {
-        // An injected repo-insert fault costs one compile; fall through.
-      }
-    }
   }
   // The compiler must never take the engine down: any exception escaping
   // the pipeline (injected faults included; MatlabError does not derive
   // from std::exception, hence catch-all) quarantines the function and the
   // caller transparently falls back to the interpreter.
   try {
+    return compileVersion(Name, *compileView(*LF), Sig, Mode, Optimistic,
+                          From, Gen);
+  } catch (...) {
+    noteCompileFailure(Name, Gen);
+    return nullptr;
+  }
+}
+
+CompiledObjectPtr Engine::compileVersion(const std::string &Name,
+                                         const FunctionInfo &FI,
+                                         const TypeSignature &Sig,
+                                         CodeGenMode Mode, bool Optimistic,
+                                         CompiledObject::Origin From,
+                                         uint64_t Gen) {
+  // Cross-session reuse: another session may already have compiled exactly
+  // this (source, signature, configuration). A hit clones the immutable
+  // code body into this engine's repository - zero compile work.
+  std::string CacheKey;
+  uint64_t SrcHash = 0;
+  CompiledObjectPtr Cached;
+  if (Opts.SharedCache && sourceHash(Name, SrcHash)) {
+    CacheKey =
+        SharedCodeCache::key(Name, SrcHash, CfgHash, Mode, Optimistic, Sig);
+    Cached = Opts.SharedCache->lookup(CacheKey);
+  }
+  CompiledObject Obj;
+  if (Cached) {
+    Obj = Cached->clone();
+    Obj.CompileSeconds = 0; // this session spent nothing
+  } else {
     Timer Total;
-    CompileRequest Req = makeRequest(FI.get(), Sig, Mode, Optimistic);
+    CompileRequest Req;
+    Req.FI = &FI;
+    Req.Sig = Sig;
+    Req.Mode = Mode;
+    Req.Platform = Opts.Platform;
+    Req.Infer = Opts.Infer;
+    Req.Infer.OptimisticRealMath &= Optimistic;
+    Req.RegAlloc = Opts.RegAlloc;
+    Req.UnrollSmallVectors =
+        Mode == CodeGenMode::Jit ? Opts.Platform.JitUnrollsSmallVectors : true;
+    Req.FuseElementwise = Opts.FuseElementwise;
     std::optional<CompileResult> Result = compileFunction(Req);
     if (!Result)
       return nullptr;
-
     Phases.add(Phase::TypeInference, Result->TypeInferSeconds);
     Phases.add(Phase::CodeGen, Result->CodeGenSeconds);
     Inst.InferSeconds->observe(Result->TypeInferSeconds);
@@ -586,8 +570,6 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
     Inst.FusionGroups->inc(Result->Fusion.Groups);
     Inst.FusionOpsFused->inc(Result->Fusion.OpsFused);
     Inst.FusionTempsElided->inc(Result->Fusion.TempsElided);
-
-    CompiledObject Obj;
     Obj.FunctionName = Name;
     Obj.Sig = Sig;
     Obj.Code = std::move(Result->Code);
@@ -596,18 +578,80 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
     Obj.From = From;
     Inst.CompileSeconds->observe(Obj.CompileSeconds);
     Profiles.recordCompile(Name, Obj.CompileSeconds);
-    Repo.insert(std::move(Obj));
-    CompiledObjectPtr Inserted = Repo.lookup(Name, Sig);
-    if (Inserted) {
-      saveToStore(*Inserted);
-      if (Opts.SharedCache && !CacheKey.empty())
-        Opts.SharedCache->publish(CacheKey, Inserted, SrcHash);
-    }
-    return Inserted;
-  } catch (...) {
-    noteCompileFailure(Name, Gen);
-    return nullptr;
   }
+  CompiledObjectPtr Inserted;
+  {
+    // Publish only when the source generation is unchanged: an invalidate
+    // or reload while a background compile ran makes its object stale.
+    std::lock_guard<std::mutex> L(SpecMutex);
+    if (SourceGeneration[Name] != Gen)
+      return nullptr;
+    Repo.insert(std::move(Obj));
+    Inserted = Repo.lookup(Name, Sig);
+  }
+  // Queue the persist before a background compile's pending count drops:
+  // drainCompiles() + flushRepoStore() must find a compile or a save
+  // pending until the object is on disk. Fresh compiles (not cache-served
+  // ones) go to the sibling sessions too.
+  if (Inserted) {
+    saveToStore(*Inserted);
+    if (!Cached && !CacheKey.empty())
+      Opts.SharedCache->publish(CacheKey, Inserted, SrcHash);
+  }
+  return Inserted;
+}
+
+//===----------------------------------------------------------------------===//
+// Background tasks (the ledger)
+//===----------------------------------------------------------------------===//
+
+template <typename Fn>
+bool Engine::enqueueTask(TaskKind Kind, const std::string &Name, Fn Body) {
+  if (!SpecPool || Draining)
+    return false;
+  // Enqueueing under SpecMutex (the established SpecMutex -> pool-mutex
+  // order; workers release the pool lock before running a task) makes the
+  // ledger race-free: the task's first act is to take SpecMutex and mark
+  // its own entry started, which is therefore in place before it looks.
+  uint64_t Seq = ++LastTaskSeq;
+  ThreadPool::TaskId Id;
+  try {
+    Id = SpecPool->enqueue([this, Seq, Body = std::move(Body)] {
+      auto Mine = [this, Seq] {
+        return std::find_if(Tasks.begin(), Tasks.end(),
+                            [Seq](const Task &T) { return T.Seq == Seq; });
+      };
+      {
+        std::lock_guard<std::mutex> L(SpecMutex);
+        Mine()->Started = true;
+      }
+      Body();
+      {
+        std::lock_guard<std::mutex> L(SpecMutex);
+        Tasks.erase(Mine());
+      }
+      SpecIdleCv.notify_all();
+    });
+  } catch (...) {
+    // Injected pool-enqueue fault: leave no bookkeeping behind, or a
+    // barrier would wait forever on a task that does not exist.
+    return false;
+  }
+  Tasks.push_back({Seq, Id, Kind, Name});
+  return true;
+}
+
+std::vector<Engine::Task>::const_iterator
+Engine::compileTask(const std::string &Name) const {
+  return std::find_if(Tasks.begin(), Tasks.end(), [&](const Task &T) {
+    return T.Kind == TaskKind::Compile && T.Name == Name;
+  });
+}
+
+bool Engine::tasksIdle(bool WithSaves) const {
+  return std::none_of(Tasks.begin(), Tasks.end(), [&](const Task &T) {
+    return WithSaves || T.Kind != TaskKind::Save;
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -617,152 +661,115 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
 void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
   if (!Store)
     return;
-  auto It = PendingWarm.find(Name);
-  if (It == PendingWarm.end())
+  if (auto Warm = PendingWarm.extract(Name))
+    for (RepoStore::Entry &E : Warm.mapped()) {
+      if (E.SourceHash != SrcHash) {
+        // The .m text changed since this was compiled: the final rung of
+        // the validation ladder fails, and the entry must not shadow the
+        // new source. Delete the file; the new source recompiles on demand.
+        Store->discardStale(E.Path);
+        continue;
+      }
+      try {
+        Repo.insert(std::move(E.Obj));
+        Store->noteAdopted();
+        Profiles.recordWarmAdoption(Name);
+        obs::traceInstant("warm.adopt", "repo", Name);
+      } catch (...) {
+        // An injected repo-insert fault while adopting costs one
+        // recompile; loading must never take the engine down.
+      }
+    }
+  // The native half of the warm start, independent of the .mjo half (a
+  // quarantined or deleted .mjo must not cost a cc run when the .so is
+  // intact): a validated .mjn whose source hash still matches dlopens
+  // straight into a Ready version - machine code with zero compiler
+  // invocations. Any loader refusal (injected fault, ABI drift the stamp
+  // missed) discards the file and the function simply stays on the VM
+  // until re-promoted.
+  if (auto Warm = PendingNativeWarm.extract(Name))
+    for (RepoStore::NativeEntry &E : Warm.mapped()) {
+      if (E.SourceHash != SrcHash) {
+        Store->discardStale(E.Path);
+        continue;
+      }
+      try {
+        std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
+        std::shared_ptr<native::NativeModule> Mod =
+            native::NativeCompiler::load(So, E.FunctionName, E.NumOuts);
+        std::lock_guard<std::mutex> L(SpecMutex);
+        NativeVersion &NV = NativeVersions[nativeKey(Name, E.Sig)];
+        NV.St = NativeVersion::State::Ready;
+        NV.Module = std::move(Mod);
+        obs::traceInstant("warm.adopt_native", "native", Name);
+      } catch (...) {
+        NativeFailures.inc();
+        Store->discardStale(E.Path);
+      }
+    }
+}
+
+template <typename WriteFn>
+void Engine::writeUnlessErased(const std::string &Name, bool Native,
+                               WriteFn Write) {
+  auto Erased = [&] {
+    std::lock_guard<std::mutex> L(SpecMutex);
+    return ErasedFns.count(Name) != 0;
+  };
+  if (Erased())
     return;
-  std::vector<RepoStore::Entry> Entries = std::move(It->second);
-  PendingWarm.erase(It);
-  for (RepoStore::Entry &E : Entries) {
-    if (E.SourceHash != SrcHash) {
-      // The .m text changed since this was compiled: the final rung of the
-      // validation ladder fails, and the entry must not shadow the new
-      // source. Delete the file; the new source recompiles on demand.
-      Store->discardStale(E.Path);
-      continue;
-    }
-    try {
-      Repo.insert(std::move(E.Obj));
-      Store->noteAdopted();
-      Profiles.recordWarmAdoption(Name);
-      obs::traceInstant("warm.adopt", "repo", Name);
-    } catch (...) {
-      // An injected repo-insert fault while adopting costs one recompile;
-      // loading must never take the engine down.
-    }
-  }
-  // The native half of the warm start: a validated .mjn whose source hash
-  // still matches dlopens straight into a Ready version - machine code
-  // with zero compiler invocations. Any loader refusal (injected fault,
-  // ABI drift the stamp missed) discards the file and the function simply
-  // stays on the VM until re-promoted.
-  auto NIt = PendingNativeWarm.find(Name);
-  if (NIt == PendingNativeWarm.end())
-    return;
-  std::vector<RepoStore::NativeEntry> NEntries = std::move(NIt->second);
-  PendingNativeWarm.erase(NIt);
-  for (RepoStore::NativeEntry &E : NEntries) {
-    if (E.SourceHash != SrcHash) {
-      Store->discardStale(E.Path);
-      continue;
-    }
-    try {
-      std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
-      std::shared_ptr<native::NativeModule> Mod =
-          native::NativeCompiler::load(So, E.FunctionName, E.NumOuts);
-      std::lock_guard<std::mutex> L(SpecMutex);
-      NativeVersion &NV = NativeVersions[nativeKey(Name, E.Sig)];
-      NV.St = NativeVersion::State::Ready;
-      NV.Module = std::move(Mod);
-      obs::traceInstant("warm.adopt_native", "native", Name);
-    } catch (...) {
-      NativeFailures.inc();
-      Store->discardStale(E.Path);
-    }
+  Write();
+  // Re-check after the write: handleRemovedSource sets the tombstone
+  // before erasing the files, so if we do not see it here, our file landed
+  // before the erase scanned the directory and the eraser removes it; if
+  // we do see it, the erase may have run first and missed the file, and
+  // we take it back out ourselves. Either way nothing survives.
+  if (Erased()) {
+    if (Native)
+      Store->eraseNative(Name);
+    else
+      Store->erase(Name);
   }
 }
 
 void Engine::saveToStore(const CompiledObject &Obj) {
-  if (!Store || !Obj.Code)
-    return;
   uint64_t SrcHash;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    auto It = SourceHashByFn.find(Obj.FunctionName);
-    if (It == SourceHashByFn.end())
-      return;
-    SrcHash = It->second;
-  }
-  // Clone for the task: CompiledObject is move-only (atomic hit counter)
-  // and the repository keeps the original. The IR itself is shared.
-  auto Clone = std::make_shared<CompiledObject>();
-  Clone->FunctionName = Obj.FunctionName;
-  Clone->Sig = Obj.Sig;
-  Clone->Code = Obj.Code;
-  Clone->Mode = Obj.Mode;
-  Clone->CompileSeconds = Obj.CompileSeconds;
-  Clone->From = Obj.From;
-  RepoStore *S = Store.get();
+  if (!Store || !Obj.Code || !sourceHash(Obj.FunctionName, SrcHash))
+    return;
+  // Clone for the task: the repository keeps the original. The IR itself
+  // is shared.
+  auto Clone = std::make_shared<CompiledObject>(Obj.clone());
+  auto Save = [this, Clone, SrcHash] {
+    writeUnlessErased(Clone->FunctionName, /*Native=*/false,
+                      [&] { Store->save(*Clone, SrcHash); });
+  };
   {
     // Persisting rides the idle-priority pool like speculative compiles:
-    // the interactive thread never waits for the disk. The pool pointer is
-    // read under SpecMutex because this path runs on workers, which must
-    // observe shutdown's Draining/clearing writes - while draining, save
-    // synchronously instead of enqueueing onto a pool that is mid-teardown
-    // (owned) or possibly paused (shared).
-    std::unique_lock<std::mutex> L(SpecMutex);
-    if (SpecPool && !Draining) {
-      ++PendingSaves;
-      // Enqueueing while holding SpecMutex (the established SpecMutex ->
-      // pool-mutex order) makes id tracking race-free: the worker's first
-      // action in the task body is to take SpecMutex, so the id is in
-      // QueuedSaveIds - and in the box - before the body can look.
-      auto IdBox = std::make_shared<ThreadPool::TaskId>(0);
-      try {
-        ThreadPool::TaskId Id =
-            SpecPool->enqueue([this, S, Clone, SrcHash, IdBox] {
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                QueuedSaveIds.erase(*IdBox);
-              }
-              runStoreSave(*S, *Clone, SrcHash);
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                --PendingSaves;
-              }
-              SpecIdleCv.notify_all();
-            });
-        *IdBox = Id;
-        QueuedSaveIds.insert(Id);
-        return;
-      } catch (...) {
-        // Injected pool-enqueue fault: undo the pending count and fall
-        // back to the synchronous path (save() itself never throws).
-        --PendingSaves;
-      }
-    }
-  }
-  runStoreSave(*S, *Clone, SrcHash);
-}
-
-void Engine::runStoreSave(RepoStore &S, const CompiledObject &Obj,
-                          uint64_t SrcHash) {
-  {
+    // the interactive thread never waits for the disk. While draining
+    // (shutdown) the ledger refuses, and the save runs synchronously
+    // instead of onto a pool that is mid-teardown (owned) or possibly
+    // paused (shared).
     std::lock_guard<std::mutex> L(SpecMutex);
-    if (ErasedFns.count(Obj.FunctionName))
+    if (enqueueTask(TaskKind::Save, Clone->FunctionName, Save))
       return;
   }
-  S.save(Obj, SrcHash);
-  // Re-check after the write: handleRemovedSource sets the tombstone
-  // before calling Store->erase, so if we do not see it here, our file
-  // landed before the erase scanned the directory and the eraser removes
-  // it; if we do see it, the erase may have run first and missed the file,
-  // and we take it back out ourselves. Either way nothing survives.
-  bool Erased;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    Erased = ErasedFns.count(Obj.FunctionName) != 0;
-  }
-  if (Erased)
-    S.erase(Obj.FunctionName);
+  Save();
+}
+
+bool Engine::sourceHash(const std::string &Name, uint64_t &Out) const {
+  std::lock_guard<std::mutex> L(SpecMutex);
+  auto It = SourceHashByFn.find(Name);
+  if (It == SourceHashByFn.end())
+    return false;
+  Out = It->second;
+  return true;
 }
 
 void Engine::flushRepoStore() {
   // A compile still in flight may yet queue a save, so wait out both.
   // Native compile tasks save their .so inline, so they count too.
   std::unique_lock<std::mutex> L(SpecMutex);
-  SpecIdleCv.wait(L, [this] {
-    return PendingSaves == 0 && PendingCompiles == 0 && PendingNative == 0;
-  });
+  SpecIdleCv.wait(L, [this] { return tasksIdle(/*WithSaves=*/true); });
 }
 
 RepoStoreStats Engine::repoStoreStats() const {
@@ -800,6 +807,7 @@ void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
     invalidateFunction(Fn);
     Functions.erase(Fn);
     PendingWarm.erase(Fn);
+    PendingNativeWarm.erase(Fn);
     PendingProfileSigs.erase(Fn);
     {
       std::lock_guard<std::mutex> L(SpecMutex);
@@ -807,8 +815,8 @@ void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
       // A deleted function must not keep steering speculation either.
       ObservedSigByFn.erase(Fn);
       // Tombstone before erasing the files: a background save queued
-      // before this removal must not recreate them (runStoreSave checks
-      // the tombstone on both sides of its write).
+      // before this removal must not recreate them (writeUnlessErased
+      // checks the tombstone on both sides of its write).
       if (Store)
         ErasedFns.insert(Fn);
     }
@@ -825,21 +833,11 @@ bool Engine::precompileWithArgs(const std::string &Name,
 }
 
 bool Engine::precompileSpeculative(const std::string &Name) {
-  LoadedFunction *LF = find(Name);
-  if (!LF || LF->F->isScript())
-    return false;
-  const std::shared_ptr<FunctionInfo> &FI = compileView(*LF);
-  if (FI->HasAmbiguousSymbols)
-    return false;
-  // What users actually call beats what the hint pass guesses; the guess
-  // stays as the cold-start fallback.
-  TypeSignature SpecSig;
-  if (observedSignatureFor(Name, LF->F->params().size(), SpecSig))
-    Spec.ObservedSigCompiles.inc();
-  else
-    SpecSig = speculateSignature(*FI, Opts.Infer);
-  return compileAndInsert(Name, SpecSig, CodeGenMode::Optimized,
-                          CompiledObject::Origin::Speculative) != nullptr;
+  LoadedFunction *LF = compilable(Name);
+  return LF && compileAndInsert(
+                   Name, speculationSignature(Name, *compileView(*LF), nullptr),
+                   CodeGenMode::Optimized,
+                   CompiledObject::Origin::Speculative) != nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -850,55 +848,36 @@ bool Engine::speculateAsync(const std::string &Name,
                             const TypeSignature *SigOverride) {
   if (!SpecPool)
     return false;
-  LoadedFunction *LF = find(Name);
-  if (!LF || LF->F->isScript())
-    return false;
-  if (isQuarantined(Name))
-    return false;
   // The analysis view is built here, on the engine's thread (it mutates
   // the LoadedFunction); speculative inference and the compile pipeline -
   // both pure over the FunctionInfo - run on the worker, keeping the
   // interactive thread's share of the request to parse + disambiguate.
-  const std::shared_ptr<FunctionInfo> &View = compileView(*LF);
-  if (View->HasAmbiguousSymbols)
+  LoadedFunction *LF = compilable(Name);
+  if (!LF)
     return false;
-
-  std::shared_ptr<const FunctionInfo> FI = View;
+  std::shared_ptr<const FunctionInfo> FI = compileView(*LF);
   std::shared_ptr<const Function> KeepAlive = LF->InlinedF;
-  std::optional<TypeSignature> Forced;
-  if (SigOverride)
-    Forced = *SigOverride;
+  std::optional<TypeSignature> Forced =
+      SigOverride ? std::optional(*SigOverride) : std::nullopt;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
     if (Draining)
       return false;
-    if (std::find(InFlight.begin(), InFlight.end(), Name) != InFlight.end()) {
+    if (compileTask(Name) != Tasks.end()) {
       Spec.DedupedRequests.inc();
       return false;
     }
-    InFlight.push_back(Name);
     uint64_t Gen = SourceGeneration[Name];
-    // Enqueue under SpecMutex so the task id lands in QueuedIds before any
-    // promoteSpeculation can look for it. Safe against the workers: they
-    // release the pool lock before running a task, so SpecMutex ->
-    // pool-mutex is the only order these two locks are ever taken in.
-    // Count the request only once the pool accepted it: a throwing enqueue
-    // (injected pool-enqueue fault) must leave no bookkeeping behind, or
-    // drainCompiles would wait forever on a task that does not exist.
-    ThreadPool::TaskId Id;
-    try {
-      Id = SpecPool->enqueue([this, Name, FI, KeepAlive, Gen, Forced] {
-        backgroundCompile(Name, FI, KeepAlive, Gen, Forced);
-      });
-    } catch (...) {
-      InFlight.pop_back();
+    // Count the request only once the pool accepted it (an injected
+    // pool-enqueue fault leaves no bookkeeping behind).
+    if (!enqueueTask(TaskKind::Compile, Name,
+                     [this, Name, FI, KeepAlive, Gen, Forced] {
+                       backgroundCompile(Name, FI, KeepAlive, Gen, Forced);
+                     })) {
       Spec.Failed.inc();
       return false;
     }
     Spec.Queued.inc();
-    ++PendingCompiles;
-    QueuedIds[Name] = Id;
-    QueuedOrder.push_back(Name);
   }
   obs::traceInstant("speculate.queue", "engine", Name);
   return true;
@@ -908,18 +887,14 @@ bool Engine::promoteSpeculation(const std::string &Name) {
   if (!SpecPool)
     return false;
   std::lock_guard<std::mutex> L(SpecMutex);
-  auto It = QueuedIds.find(Name);
-  if (It == QueuedIds.end())
+  auto Found = compileTask(Name);
+  // The pool may have handed the task to a worker that hasn't marked its
+  // ledger entry yet; promote() refuses once the task left the queue.
+  if (Found == Tasks.cend() || Found->Started ||
+      !SpecPool->promote(Found->PoolId))
     return false;
-  // The pool may have handed the task to a worker that hasn't erased its
-  // bookkeeping yet; promote() refuses once the task left the queue.
-  if (!SpecPool->promote(It->second))
-    return false;
-  auto QIt = std::find(QueuedOrder.begin(), QueuedOrder.end(), Name);
-  if (QIt != QueuedOrder.end() && QIt != QueuedOrder.begin()) {
-    QueuedOrder.erase(QIt);
-    QueuedOrder.insert(QueuedOrder.begin(), Name);
-  }
+  auto It = Tasks.begin() + (Found - Tasks.cbegin());
+  std::rotate(Tasks.begin(), It, std::next(It));
   Spec.Promoted.inc();
   return true;
 }
@@ -938,7 +913,11 @@ void Engine::resumeBackgroundCompiles() {
 
 std::vector<std::string> Engine::queuedSpeculations() const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  return QueuedOrder;
+  std::vector<std::string> Out;
+  for (const Task &T : Tasks)
+    if (T.Kind == TaskKind::Compile && !T.Started)
+      Out.push_back(T.Name);
+  return Out;
 }
 
 void Engine::backgroundCompile(std::string Name,
@@ -949,151 +928,40 @@ void Engine::backgroundCompile(std::string Name,
   // KeepAlive pins the inlined clone FI's nodes point into; reloading the
   // function on the main thread must not pull it out from under us.
   (void)KeepAlive;
-  {
-    // No longer queued: promotion from here on is a no-op.
-    std::lock_guard<std::mutex> L(SpecMutex);
-    QueuedIds.erase(Name);
-    auto It = std::find(QueuedOrder.begin(), QueuedOrder.end(), Name);
-    if (It != QueuedOrder.end())
-      QueuedOrder.erase(It);
-  }
   Timer Total;
   // A worker exception must never escape into the pool (it would be
-  // swallowed there, silently losing the bookkeeping below); capture it
-  // and convert it into a Failed + quarantine record instead.
-  std::optional<CompileResult> Result;
-  TypeSignature Sig;
-  bool Crashed = false;
-  CompiledObjectPtr CacheHit;
-  std::string CacheKey;
-  uint64_t SrcHash = 0;
-  try {
-    // Signature pick order: an explicit override (re-speculation), then
-    // the most-called observed signature, then the backward-hint guess.
-    // Arity is checked against the live analysis view so a stale persisted
-    // profile can never force a wrong-arity compile.
-    size_t Arity = FI->F->params().size();
-    if (Forced && Forced->size() == Arity) {
-      Sig = std::move(*Forced);
-      Spec.ObservedSigCompiles.inc();
-    } else if (observedSignatureFor(Name, Arity, Sig)) {
-      Spec.ObservedSigCompiles.inc();
-    } else {
-      Sig = speculateSignature(*FI, Opts.Infer);
-    }
-    // Cross-session reuse on the background path too: a sibling session's
-    // speculative compile of the same (source, signature, configuration)
-    // serves this one for free.
-    if (Opts.SharedCache) {
-      bool HaveSrcHash = false;
-      {
-        std::lock_guard<std::mutex> L(SpecMutex);
-        auto HIt = SourceHashByFn.find(Name);
-        if (HIt != SourceHashByFn.end()) {
-          SrcHash = HIt->second;
-          HaveSrcHash = true;
-        }
-      }
-      if (HaveSrcHash) {
-        CacheKey = SharedCodeCache::key(Name, SrcHash, CfgHash,
-                                        CodeGenMode::Optimized,
-                                        /*Optimistic=*/true, Sig);
-        CacheHit = Opts.SharedCache->lookup(CacheKey);
-      }
-    }
-    if (!CacheHit) {
-      CompileRequest Req = makeRequest(FI.get(), Sig, CodeGenMode::Optimized,
-                                       /*Optimistic=*/true);
-      Result = compileFunction(Req);
-    }
-  } catch (...) {
-    Crashed = true;
-  }
-  double Seconds = Total.seconds();
-
-  CompiledObject Obj;
-  if (CacheHit) {
-    Obj.FunctionName = Name;
-    Obj.Sig = CacheHit->Sig;
-    Obj.Code = CacheHit->Code;
-    Obj.Mode = CacheHit->Mode;
-    Obj.CompileSeconds = 0; // this session spent nothing
-    Obj.From = CacheHit->From;
-  } else if (Result) {
-    Phases.add(Phase::TypeInference, Result->TypeInferSeconds);
-    Phases.add(Phase::CodeGen, Result->CodeGenSeconds);
-    Inst.InferSeconds->observe(Result->TypeInferSeconds);
-    Inst.CodeGenSeconds->observe(Result->CodeGenSeconds);
-    Inst.FusionGroups->inc(Result->Fusion.Groups);
-    Inst.FusionOpsFused->inc(Result->Fusion.OpsFused);
-    Inst.FusionTempsElided->inc(Result->Fusion.TempsElided);
-    Inst.CompileSeconds->observe(Seconds);
-    Profiles.recordCompile(Name, Seconds);
-    Obj.FunctionName = Name;
-    Obj.Sig = Sig;
-    Obj.Code = std::move(Result->Code);
-    Obj.Mode = CodeGenMode::Optimized;
-    Obj.CompileSeconds = Seconds;
-    Obj.From = CompiledObject::Origin::Speculative;
-  }
+  // swallowed there, silently losing the bookkeeping below); convert it
+  // into a Failed + quarantine record instead.
   CompiledObjectPtr Published;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    SpecBackgroundSeconds += Seconds;
-    // Publish only when the source generation is unchanged: an invalidate
-    // or reload while we compiled makes this object stale.
-    bool Stale = SourceGeneration[Name] != Gen;
-    if ((Result || CacheHit) && !Stale) {
-      try {
-        Repo.insert(std::move(Obj));
-        Published = Repo.lookup(Name, Sig);
-        Spec.Completed.inc();
-      } catch (...) {
-        Crashed = true;
-        Spec.Dropped.inc();
-      }
-    } else {
-      Spec.Dropped.inc();
-    }
-    // Quarantine on a crash, but only against the generation we compiled:
-    // if the source was reloaded meanwhile, the fresh source keeps its
-    // chance to compile.
-    if (Crashed) {
-      Spec.Failed.inc();
-      if (!Stale)
-        Quarantined[Name] = Gen;
-    }
+  try {
+    TypeSignature Sig =
+        speculationSignature(Name, *FI, Forced ? &*Forced : nullptr);
+    Published = compileVersion(Name, *FI, Sig, CodeGenMode::Optimized,
+                               /*Optimistic=*/true,
+                               CompiledObject::Origin::Speculative, Gen);
+  } catch (...) {
+    // Quarantined only against the generation we compiled: if the source
+    // was reloaded meanwhile, the fresh source keeps its chance to compile.
+    noteCompileFailure(Name, Gen);
   }
-  // Queue the persist before releasing the compile's pending count (and
-  // outside SpecMutex, which saveToStore takes): a drainCompiles() +
-  // flushRepoStore() sequence must find either PendingCompiles or
-  // PendingSaves nonzero until the object is actually on disk. Freshly
-  // compiled (not cache-served) objects are also published for the
-  // sibling sessions.
-  if (Published) {
-    saveToStore(*Published);
-    if (Result && Opts.SharedCache && !CacheKey.empty())
-      Opts.SharedCache->publish(CacheKey, Published, SrcHash);
-  }
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    InFlight.erase(std::find(InFlight.begin(), InFlight.end(), Name));
-    --PendingCompiles;
-  }
-  SpecIdleCv.notify_all();
+  std::lock_guard<std::mutex> L(SpecMutex);
+  SpecBackgroundSeconds += Total.seconds();
+  if (Published)
+    Spec.Completed.inc();
+  else
+    Spec.Dropped.inc(); // failed, declined, or stale
 }
 
 void Engine::drainCompiles() {
   // Native compiles count as compiles: tests that drain before asserting
   // on tier state must not race the background cc invocation.
   std::unique_lock<std::mutex> L(SpecMutex);
-  SpecIdleCv.wait(
-      L, [this] { return PendingCompiles == 0 && PendingNative == 0; });
+  SpecIdleCv.wait(L, [this] { return tasksIdle(/*WithSaves=*/false); });
 }
 
 bool Engine::speculationInFlight(const std::string &Name) const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  return std::find(InFlight.begin(), InFlight.end(), Name) != InFlight.end();
+  return compileTask(Name) != Tasks.end();
 }
 
 SpeculationStats Engine::speculationStats() const {
@@ -1193,39 +1061,33 @@ TypeSignature Engine::speculated(const std::string &Name) {
 
 const std::string &Engine::observeSignature(LoadedFunction &LF,
                                             const TypeSignature &Sig) {
-  for (LoadedFunction::SigObs &O : LF.Obs) {
-    if (!(O.Sig == Sig))
-      continue;
-    ++O.Count;
-    if (O.Count > LF.BestCount) {
-      size_t Idx = static_cast<size_t>(&O - LF.Obs.data());
-      LF.BestCount = O.Count;
-      if (Idx != LF.BestIdx) {
-        // A different signature overtook the best: publish it for the
-        // workers. Same-signature bumps skip this, so the steady state
-        // pays no extra locking.
-        LF.BestIdx = Idx;
-        std::lock_guard<std::mutex> L(SpecMutex);
-        ObservedSigByFn[LF.F->name()] = O.Sig;
-      }
+  auto O = std::find_if(LF.Obs.begin(), LF.Obs.end(),
+                        [&](const LoadedFunction::SigObs &X) {
+                          return X.Sig == Sig;
+                        });
+  if (O == LF.Obs.end()) {
+    if (LF.Obs.size() >= obs::FunctionProfiles::kMaxSignatures) {
+      // Megamorphic overflow: past the cap the rendering is not cached (the
+      // profile layer folds these calls into its own overflow counter).
+      LF.OverflowSig = Sig.str();
+      return LF.OverflowSig;
     }
-    return O.Str;
+    LF.Obs.push_back({Sig, Sig.str(), 0});
+    O = std::prev(LF.Obs.end());
   }
-  if (LF.Obs.size() < obs::FunctionProfiles::kMaxSignatures) {
-    LF.Obs.push_back({Sig, Sig.str(), 1});
-    LoadedFunction::SigObs &O = LF.Obs.back();
-    if (O.Count > LF.BestCount) {
-      LF.BestCount = O.Count;
-      LF.BestIdx = LF.Obs.size() - 1;
+  if (++O->Count > LF.BestCount) {
+    size_t Idx = static_cast<size_t>(O - LF.Obs.begin());
+    LF.BestCount = O->Count;
+    if (Idx != LF.BestIdx) {
+      // A different signature overtook the best: publish it for the
+      // workers. Same-signature bumps skip this, so the steady state pays
+      // no extra locking.
+      LF.BestIdx = Idx;
       std::lock_guard<std::mutex> L(SpecMutex);
-      ObservedSigByFn[LF.F->name()] = O.Sig;
+      ObservedSigByFn[LF.F->name()] = O->Sig;
     }
-    return O.Str;
   }
-  // Megamorphic overflow: past the cap the rendering is not cached (the
-  // profile layer folds these calls into its own overflow counter anyway).
-  LF.OverflowSig = Sig.str();
-  return LF.OverflowSig;
+  return O->Str;
 }
 
 bool Engine::observedSignatureFor(const std::string &Name, size_t Arity,
@@ -1376,13 +1238,31 @@ std::string Engine::metricsJson() {
 // Invocation
 //===----------------------------------------------------------------------===//
 
-namespace {
-struct DepthGuard {
-  unsigned &Depth;
-  explicit DepthGuard(unsigned &Depth) : Depth(Depth) { ++Depth; }
-  ~DepthGuard() { --Depth; }
+struct Engine::InvocationScope {
+  Engine &E;
+  std::optional<mem::ScopedAccount> Acct;
+  std::optional<exec::ScopedToken> Token;
+
+  // A fresh top-level invocation (an embedder's call, or a script) gets a
+  // fresh op budget; nested calls (including scripts' callees) spend their
+  // caller's. Per-session limits install the engine's own memory account
+  // and interrupt token for the whole invocation (parallelFor propagates
+  // both into its chunks). The depth count keeps nested calls from
+  // resetting the budget mid-program.
+  explicit InvocationScope(Engine &E) : E(E) {
+    if (E.CallDepth == 0) {
+      E.Ctx.Exec.reset();
+      if (E.Opts.PerSessionLimits) {
+        Acct.emplace(&E.MemAccount);
+        Token.emplace(&E.IntrToken);
+      }
+    }
+    ++E.CallDepth;
+  }
+  ~InvocationScope() { --E.CallDepth; }
+  InvocationScope(const InvocationScope &) = delete;
+  InvocationScope &operator=(const InvocationScope &) = delete;
 };
-} // namespace
 
 std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
                                            std::vector<ValuePtr> Args,
@@ -1399,35 +1279,27 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
                       Loc);
   if (CallDepth >= Opts.MaxCallDepth)
     throw MatlabError("maximum recursion depth exceeded", Loc);
-  // A fresh top-level invocation gets a fresh op budget; nested calls
-  // (including scripts' callees) spend their caller's. Per-session limits
-  // install the engine's own memory account and interrupt token for the
-  // whole invocation (parallelFor propagates both into its chunks).
-  std::optional<mem::ScopedAccount> AcctScope;
-  std::optional<exec::ScopedToken> TokenScope;
-  if (CallDepth == 0) {
-    Ctx.Exec.reset();
-    if (Opts.PerSessionLimits) {
-      AcctScope.emplace(&MemAccount);
-      TokenScope.emplace(&IntrToken);
-    }
-  }
-  DepthGuard Guard(CallDepth);
+  InvocationScope Scope(*this);
+  std::vector<ValuePtr> R = runTiers(*LF, Args, NumOuts);
+  recordFirstResult();
+  return R;
+}
 
-  if (Opts.Policy == CompilePolicy::InterpretOnly || LF->F->isScript()) {
+CompiledObjectPtr Engine::versionFor(LoadedFunction &LF,
+                                     const std::vector<ValuePtr> &Args) {
+  const std::string &Name = LF.F->name();
+  if (Opts.Policy == CompilePolicy::InterpretOnly || LF.F->isScript()) {
     Profiles.recordInvocation(Name, UntypedSig);
-    auto R = interpretCall(*LF, std::move(Args), NumOuts);
-    recordFirstResult();
-    return R;
+    return nullptr;
   }
 
   TypeSignature Sig = TypeSignature::ofValues(Args);
-  Profiles.recordInvocation(Name, observeSignature(*LF, Sig));
-  CompiledObjectPtr Obj = Repo.lookup(Name, Sig);
-  if (Obj)
-    LF->SigMissStreak = 0;
-  if (!Obj && Opts.Policy == CompilePolicy::Speculative &&
-      speculationInFlight(Name)) {
+  Profiles.recordInvocation(Name, observeSignature(LF, Sig));
+  if (CompiledObjectPtr Obj = Repo.lookup(Name, Sig)) {
+    LF.SigMissStreak = 0;
+    return Obj;
+  }
+  if (Opts.Policy == CompilePolicy::Speculative && speculationInFlight(Name)) {
     // A background compile of this function is still in flight: interpret
     // this one invocation instead of duplicating the compiler's work on
     // the hot path; the next call picks up the published object. An actual
@@ -1438,67 +1310,156 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
     promoteSpeculation(Name);
     InterpFallbacks.inc();
     Spec.InFlightInterpreted.inc();
-    auto R = interpretCall(*LF, std::move(Args), NumOuts);
-    recordFirstResult();
-    return R;
+    return nullptr;
   }
-  if (!Obj) {
-    // Miss: compile according to policy. When a version with the same
-    // skeleton already exists (recursive calls with different constants),
-    // compile the generalized signature so the repository converges.
-    TypeSignature CompileSig = Sig;
-    TypeSignature General = Sig.generalized();
-    if (Repo.versionCount(Name) != 0 && !(General == Sig) &&
-        Sig.safeFor(General))
-      CompileSig = General;
+  // Miss: compile according to policy. When a version with the same
+  // skeleton already exists (recursive calls with different constants),
+  // compile the generalized signature so the repository converges.
+  TypeSignature CompileSig = Sig;
+  TypeSignature General = Sig.generalized();
+  if (Repo.versionCount(Name) != 0 && !(General == Sig) &&
+      Sig.safeFor(General))
+    CompileSig = General;
 
-    // Repeated misses against existing compiled versions mean speculation
-    // guessed wrong for what the user actually calls: re-speculate on the
-    // newly observed signature (once per distinct signature, so a stable
-    // pattern does not churn the background queue). The JIT below still
-    // serves this invocation; the background compile upgrades the hot
-    // signature to optimized code.
-    if (Opts.Policy == CompilePolicy::Speculative && SpecPool &&
-        Repo.versionCount(Name) != 0 &&
-        ++LF->SigMissStreak >= kRespeculateMissStreak &&
-        (!LF->RespecValid || !(LF->RespecSig == CompileSig))) {
-      LF->RespecSig = CompileSig;
-      LF->RespecValid = true;
-      speculateAsync(Name, &CompileSig);
-    }
-
-    switch (Opts.Policy) {
-    case CompilePolicy::Jit:
-    case CompilePolicy::Speculative:
-      Obj = compileAndInsert(Name, CompileSig, CodeGenMode::Jit,
-                             CompiledObject::Origin::Jit);
-      if (Obj)
-        JitCompiles.inc();
-      break;
-    case CompilePolicy::Falcon:
-      Obj = compileAndInsert(Name, CompileSig, CodeGenMode::Optimized,
-                             CompiledObject::Origin::Batch);
-      break;
-    case CompilePolicy::Mcc:
-      Obj = compileAndInsert(Name, TypeSignature::generic(Args.size()),
-                             CodeGenMode::Generic,
-                             CompiledObject::Origin::Generic);
-      break;
-    case CompilePolicy::InterpretOnly:
-      break;
-    }
+  // Repeated misses against existing compiled versions mean speculation
+  // guessed wrong for what the user actually calls: re-speculate on the
+  // newly observed signature (once per distinct signature, so a stable
+  // pattern does not churn the background queue). The JIT below still
+  // serves this invocation; the background compile upgrades the hot
+  // signature to optimized code.
+  if (Opts.Policy == CompilePolicy::Speculative && SpecPool &&
+      Repo.versionCount(Name) != 0 &&
+      ++LF.SigMissStreak >= kRespeculateMissStreak &&
+      (!LF.RespecValid || !(LF.RespecSig == CompileSig))) {
+    LF.RespecSig = CompileSig;
+    LF.RespecValid = true;
+    speculateAsync(Name, &CompileSig);
   }
-  if (!Obj) {
+
+  CompiledObjectPtr Obj;
+  switch (Opts.Policy) {
+  case CompilePolicy::Jit:
+  case CompilePolicy::Speculative:
+    Obj = compileAndInsert(Name, CompileSig, CodeGenMode::Jit,
+                           CompiledObject::Origin::Jit);
+    if (Obj)
+      JitCompiles.inc();
+    break;
+  case CompilePolicy::Falcon:
+    Obj = compileAndInsert(Name, CompileSig, CodeGenMode::Optimized,
+                           CompiledObject::Origin::Batch);
+    break;
+  case CompilePolicy::Mcc:
+    Obj = compileAndInsert(Name, TypeSignature::generic(Args.size()),
+                           CodeGenMode::Generic,
+                           CompiledObject::Origin::Generic);
+    break;
+  case CompilePolicy::InterpretOnly:
+    break;
+  }
+  if (!Obj)
     InterpFallbacks.inc();
-    auto R = interpretCall(*LF, std::move(Args), NumOuts);
-    recordFirstResult();
-    return R;
+  return Obj;
+}
+
+template <typename RunFn>
+std::vector<ValuePtr> Engine::timedRun(Tier T, const std::string &Name,
+                                       RunFn &&Run) {
+  if (CallDepth != 1)
+    return Run();
+  ScopedPhaseTimer PT(Phases, Phase::Execute);
+  Timer Clock;
+  std::vector<ValuePtr> R = Run();
+  double Seconds = Clock.seconds();
+  switch (T) {
+  case Tier::Native:
+    Profiles.recordNativeRun(Name, Seconds);
+    break;
+  case Tier::Vm:
+    Inst.VmRunSeconds->observe(Seconds);
+    Profiles.recordVmRun(Name, Seconds);
+    break;
+  case Tier::Interp:
+    Inst.InterpRunSeconds->observe(Seconds);
+    Profiles.recordInterpRun(Name, Seconds);
+    break;
   }
+  return R;
+}
+
+std::vector<ValuePtr> Engine::runTiers(LoadedFunction &LF,
+                                       std::vector<ValuePtr> &Args,
+                                       size_t NumOuts) {
   // Obj is a shared handle: even if a background recompile replaces this
   // version in the repository mid-execution, the object stays alive.
-  auto R = runCompiled(*Obj, std::move(Args), NumOuts);
-  recordFirstResult();
-  return R;
+  CompiledObjectPtr Obj = versionFor(LF, Args);
+  // Snapshot the PRNG and buffered output once: every tier edge below
+  // rolls back to it, so the next tier does identical work and a failed
+  // attempt's output is never seen twice.
+  const Rng SavedRand = Ctx.Rand;
+  const size_t OutputMark = Ctx.output().size();
+  Tier T = !Obj ? Tier::Interp : NativeComp ? Tier::Native : Tier::Vm;
+  bool Pessimistic = false;
+  std::vector<ValuePtr> Out;
+  for (;;) {
+    if (T == Tier::Native) {
+      if (runNativeTier(*Obj, Args, NumOuts, Out))
+        return Out;
+      T = Tier::Vm;
+    } else {
+      try {
+        // Args survive every attempt that may still fall through; the
+        // last one (pessimistic code or the interpreter) consumes them.
+        Out = timedRun(T, LF.F->name(), [&] {
+          if (T == Tier::Interp)
+            return Interp->run(*LF.F, std::move(Args), NumOuts);
+          if (Pessimistic)
+            return Machine->run(*Obj->Code, std::move(Args), NumOuts);
+          return Machine->run(*Obj->Code, Args, NumOuts);
+        });
+        return Out;
+      } catch (const DeoptError &) {
+        // Pessimistic code selects no optimistic guards, so only the first
+        // VM attempt can get here; retry once on its replacement, or on
+        // the interpreter when the recompile fails.
+        if (T == Tier::Interp || Pessimistic)
+          throw;
+        Obj = deoptimize(*Obj);
+        Pessimistic = true;
+        if (!Obj) {
+          InterpFallbacks.inc();
+          T = Tier::Interp;
+        }
+      }
+    }
+    Ctx.Rand = SavedRand;
+    Ctx.truncateOutput(OutputMark);
+  }
+}
+
+CompiledObjectPtr Engine::deoptimize(const CompiledObject &Obj) {
+  // An optimistic guard failed (sqrt of a negative value, ...): replace
+  // the compiled version with a pessimistic one.
+  Deopts.inc();
+  Profiles.recordDeopt(Obj.FunctionName);
+  obs::traceInstant("deopt", "engine", Obj.FunctionName);
+  // Repeated deopts say the speculated types were wrong for the live
+  // call pattern. When the observed signature differs from the one that
+  // deopted, queue an optimized recompile for it; same-signature deopts
+  // are already handled by the pessimistic replacement (and must not be
+  // re-speculated optimistically, which would just deopt again).
+  if (Opts.Policy == CompilePolicy::Speculative && SpecPool) {
+    if (LoadedFunction *LF = find(Obj.FunctionName))
+      if (++LF->DeoptCount == kRespeculateDeopts) {
+        TypeSignature Observed;
+        if (observedSignatureFor(Obj.FunctionName, Obj.Sig.size(),
+                                 Observed) &&
+            !(Observed == Obj.Sig))
+          speculateAsync(Obj.FunctionName, &Observed);
+      }
+  }
+  return compileAndInsert(Obj.FunctionName, Obj.Sig, Obj.Mode, Obj.From,
+                          /*Optimistic=*/false);
 }
 
 bool Engine::knowsFunction(const std::string &Name) {
@@ -1526,8 +1487,7 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
     std::lock_guard<std::mutex> L(SpecMutex);
     auto It = NativeVersions.find(Key);
     if (It != NativeVersions.end())
-      return It->second.St == NativeVersion::State::Ready ? It->second.Module
-                                                          : nullptr;
+      return It->second.ready();
   }
   if (!NativeComp->available())
     return nullptr;
@@ -1536,53 +1496,27 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
   // sessions, so a warm start re-promotes immediately).
   if (Profiles.invocations(Obj.FunctionName) < Opts.NativeHotThreshold)
     return nullptr;
-  std::shared_ptr<const IRFunction> Code = Obj.Code;
   {
-    std::unique_lock<std::mutex> L(SpecMutex);
+    std::lock_guard<std::mutex> L(SpecMutex);
     if (Draining)
       return nullptr;
     auto [It, New] = NativeVersions.emplace(Key, NativeVersion());
     if (!New)
-      return It->second.St == NativeVersion::State::Ready ? It->second.Module
-                                                          : nullptr;
+      return It->second.ready();
     // Compile off-thread when a pool exists: the invocation that crossed
     // the threshold still runs on the VM while cc works in the
     // background (the paper's "the user never waits", applied to a
-    // compiler we do not control). The id bookkeeping mirrors
-    // saveToStore so shutdown can cancel queued tasks.
-    if (SpecPool && !Draining) {
-      ++PendingNative;
-      auto IdBox = std::make_shared<ThreadPool::TaskId>(0);
-      try {
-        ThreadPool::TaskId Id = SpecPool->enqueue(
-            [this, Name = Obj.FunctionName, Sig = Obj.Sig, Code, IdBox] {
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                QueuedNativeIds.erase(*IdBox);
-              }
-              buildNative(Name, Sig, Code);
-              {
-                std::lock_guard<std::mutex> L2(SpecMutex);
-                --PendingNative;
-              }
-              SpecIdleCv.notify_all();
-            });
-        *IdBox = Id;
-        QueuedNativeIds.insert(Id);
-        return nullptr;
-      } catch (...) {
-        // Injected pool-enqueue fault: fall through to the synchronous
-        // path below.
-        --PendingNative;
-      }
-    }
+    // compiler we do not control).
+    if (enqueueTask(TaskKind::Native, Obj.FunctionName,
+                    [this, Name = Obj.FunctionName, Sig = Obj.Sig,
+                     Code = Obj.Code] {
+                      buildNative(Name, Sig, Code);
+                    }))
+      return nullptr;
   }
-  buildNative(Obj.FunctionName, Obj.Sig, Code);
+  buildNative(Obj.FunctionName, Obj.Sig, Obj.Code);
   std::lock_guard<std::mutex> L(SpecMutex);
-  auto It = NativeVersions.find(Key);
-  if (It != NativeVersions.end() && It->second.St == NativeVersion::State::Ready)
-    return It->second.Module;
-  return nullptr;
+  return NativeVersions[Key].ready();
 }
 
 void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
@@ -1615,29 +1549,14 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
     NV.Module = std::move(Mod);
   }
   // Persist the .so beside the .mjo so the next session warm-starts into
-  // machine code with zero compiler invocations. Same erased-function
-  // tombstone discipline as runStoreSave.
-  if (!Store)
-    return;
+  // machine code with zero compiler invocations.
   uint64_t SrcHash;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (ErasedFns.count(Name))
-      return;
-    auto It = SourceHashByFn.find(Name);
-    if (It == SourceHashByFn.end())
-      return;
-    SrcHash = It->second;
-  }
-  Store->saveNative(Name, Sig, NumOuts,
-                    std::string(So.begin(), So.end()), SrcHash);
-  bool Erased;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    Erased = ErasedFns.count(Name) != 0;
-  }
-  if (Erased)
-    Store->eraseNative(Name);
+  if (!Store || !sourceHash(Name, SrcHash))
+    return;
+  writeUnlessErased(Name, /*Native=*/true, [&] {
+    Store->saveNative(Name, Sig, NumOuts, std::string(So.begin(), So.end()),
+                      SrcHash);
+  });
 }
 
 void Engine::quarantineNative(const std::string &Name,
@@ -1657,147 +1576,39 @@ void Engine::quarantineNative(const std::string &Name,
 
 bool Engine::runNativeTier(const CompiledObject &Obj,
                            const std::vector<ValuePtr> &Args, size_t NumOuts,
-                           const Rng &SavedRand, size_t OutputMark,
                            std::vector<ValuePtr> &Out) {
   std::shared_ptr<native::NativeModule> Mod = nativeModuleFor(Obj);
   if (!Mod)
     return false;
   // Genuine MATLAB errors propagate exactly as from the VM; everything
   // else the tier can fail with - deopt guards, injected faults -
-  // restores the snapshots and degrades to the VM, so the tiers are
+  // quarantines the module and degrades to the VM, so the tiers are
   // distinguishable only by speed.
   try {
-    if (CallDepth == 1) {
-      ScopedPhaseTimer T(Phases, Phase::Execute);
-      Timer Run;
-      Out = native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
-                              Ctx, NativeHostAdapter, Args, NumOuts);
-      Profiles.recordNativeRun(Obj.FunctionName, Run.seconds());
-      // Counted only after the call returns: deopts and quarantined runs
-      // must not inflate native.hits relative to native.deopts/failures.
-      NativeHits.inc();
-      return true;
-    }
-    Out = native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
-                            Ctx, NativeHostAdapter, Args, NumOuts);
+    Out = timedRun(Tier::Native, Obj.FunctionName, [&] {
+      return native::runNative(Mod->entry(), Obj.FunctionName, Mod->numOuts(),
+                               Ctx, NativeHostAdapter, Args, NumOuts);
+    });
+    // Counted only after the call returns: deopts and quarantined runs
+    // must not inflate native.hits relative to native.deopts/failures.
     NativeHits.inc();
     return true;
   } catch (const DeoptError &) {
-    // An optimistic guard failed inside machine code. Quarantine the
-    // module and fall back to the VM: it re-runs with identical state,
-    // and its own DeoptError handling performs the pessimistic recompile
-    // when the guard fails there too.
+    // An optimistic guard failed inside machine code. The VM re-runs with
+    // identical state, and its own deopt edge performs the pessimistic
+    // recompile when the guard fails there too.
     NativeDeopts.inc();
-    quarantineNative(Obj.FunctionName, Obj.Sig);
-    Ctx.Rand = SavedRand;
-    Ctx.truncateOutput(OutputMark);
   } catch (const MatlabError &) {
     // The program's own error (bad subscript, undefined variable,
     // interrupt, resource limit): the VM would raise it identically.
     throw;
   } catch (...) {
     // Injected fault or native-side surprise: never let the tier take
-    // the engine down - quarantine and serve from the VM.
+    // the engine down.
     NativeFailures.inc();
-    quarantineNative(Obj.FunctionName, Obj.Sig);
-    Ctx.Rand = SavedRand;
-    Ctx.truncateOutput(OutputMark);
   }
+  quarantineNative(Obj.FunctionName, Obj.Sig);
   return false;
-}
-
-std::vector<ValuePtr> Engine::runCompiled(const CompiledObject &Obj,
-                                          std::vector<ValuePtr> Args,
-                                          size_t NumOuts) {
-  // Snapshot the PRNG and buffered output so a deoptimization retry does
-  // identical work.
-  Rng SavedRand = Ctx.Rand;
-  size_t OutputMark = Ctx.output().size();
-  // Third tier: machine code when this (function, signature) version has
-  // been promoted. Outlined (never inlined) so the tier's locals and
-  // exception tables stay off runCompiled's frame - this function is on
-  // the VM's call-recursion cycle and its frame size bounds how deep the
-  // MaxCallDepth guard can actually be reached.
-  if (NativeComp) {
-    std::vector<ValuePtr> NativeOut;
-    if (runNativeTier(Obj, Args, NumOuts, SavedRand, OutputMark, NativeOut))
-      return NativeOut;
-  }
-  try {
-    if (CallDepth == 1) {
-      ScopedPhaseTimer T(Phases, Phase::Execute);
-      Timer Run;
-      auto R = Machine->run(*Obj.Code, Args, NumOuts);
-      double Seconds = Run.seconds();
-      Inst.VmRunSeconds->observe(Seconds);
-      Profiles.recordVmRun(Obj.FunctionName, Seconds);
-      return R;
-    }
-    return Machine->run(*Obj.Code, Args, NumOuts);
-  } catch (const DeoptError &) {
-    // An optimistic guard failed (sqrt of a negative value, ...): undo the
-    // attempt, replace the compiled version with a pessimistic one, retry.
-    Deopts.inc();
-    Profiles.recordDeopt(Obj.FunctionName);
-    obs::traceInstant("deopt", "engine", Obj.FunctionName);
-    // Repeated deopts say the speculated types were wrong for the live
-    // call pattern. When the observed signature differs from the one that
-    // deopted, queue an optimized recompile for it; same-signature deopts
-    // are already handled by the pessimistic replacement below (and must
-    // not be re-speculated optimistically, which would just deopt again).
-    if (Opts.Policy == CompilePolicy::Speculative && SpecPool) {
-      if (LoadedFunction *DLF = find(Obj.FunctionName))
-        if (++DLF->DeoptCount == kRespeculateDeopts) {
-          TypeSignature Observed;
-          if (observedSignatureFor(Obj.FunctionName, Obj.Sig.size(),
-                                   Observed) &&
-              !(Observed == Obj.Sig))
-            speculateAsync(Obj.FunctionName, &Observed);
-        }
-    }
-    Ctx.Rand = SavedRand;
-    Ctx.truncateOutput(OutputMark);
-    std::string Name = Obj.FunctionName;
-    TypeSignature Sig = Obj.Sig;
-    CodeGenMode Mode = Obj.Mode;
-    CompiledObject::Origin From = Obj.From;
-    CompiledObjectPtr Repl =
-        compileAndInsert(Name, Sig, Mode, From, /*Optimistic=*/false);
-    if (!Repl) {
-      InterpFallbacks.inc();
-      LoadedFunction *LF = find(Name);
-      if (!LF)
-        throw MatlabError("deoptimization of unknown function '" + Name + "'");
-      return interpretCall(*LF, std::move(Args), NumOuts);
-    }
-    // Pessimistic code selects no optimistic guards; a second DeoptError
-    // cannot occur from this object.
-    if (CallDepth == 1) {
-      ScopedPhaseTimer T(Phases, Phase::Execute);
-      Timer Run;
-      auto R = Machine->run(*Repl->Code, std::move(Args), NumOuts);
-      double Seconds = Run.seconds();
-      Inst.VmRunSeconds->observe(Seconds);
-      Profiles.recordVmRun(Repl->FunctionName, Seconds);
-      return R;
-    }
-    return Machine->run(*Repl->Code, std::move(Args), NumOuts);
-  }
-}
-
-std::vector<ValuePtr> Engine::interpretCall(LoadedFunction &LF,
-                                            std::vector<ValuePtr> Args,
-                                            size_t NumOuts) {
-  if (CallDepth == 1) {
-    ScopedPhaseTimer T(Phases, Phase::Execute);
-    Timer Run;
-    auto R = Interp->run(*LF.F, std::move(Args), NumOuts);
-    double Seconds = Run.seconds();
-    Inst.InterpRunSeconds->observe(Seconds);
-    Profiles.recordInterpRun(LF.F->name(), Seconds);
-    return R;
-  }
-  return Interp->run(*LF.F, std::move(Args), NumOuts);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1874,18 +1685,9 @@ std::string Engine::runScript(const std::string &Source) {
 
   try {
     ScopedPhaseTimer T(Phases, Phase::Execute);
-    // The script itself is a top-level invocation: it gets a fresh op
-    // budget (and, per-session, the engine's memory account and interrupt
-    // token), and the depth guard keeps callFunction (depth >= 1 from
-    // here) from resetting the budget mid-script.
-    Ctx.Exec.reset();
-    std::optional<mem::ScopedAccount> AcctScope;
-    std::optional<exec::ScopedToken> TokenScope;
-    if (CallDepth == 0 && Opts.PerSessionLimits) {
-      AcctScope.emplace(&MemAccount);
-      TokenScope.emplace(&IntrToken);
-    }
-    DepthGuard Guard(CallDepth);
+    // The script itself is a top-level invocation; callFunction (depth >= 1
+    // from here) spends its budget.
+    InvocationScope Scope(*this);
     Interp->runScript(*Script, Slots);
     recordFirstResult();
   } catch (const MatlabError &E) {

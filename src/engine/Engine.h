@@ -481,6 +481,14 @@ private:
   };
 
   LoadedFunction *find(const std::string &Name);
+  /// \p Name's loaded function when it can be compiled: known, not a
+  /// script, not quarantined, with an unambiguous analysis view.
+  LoadedFunction *compilable(const std::string &Name);
+  /// The signature to speculate \p Name on: \p Forced when its arity
+  /// matches, else the most-called observed one, else the hint guess.
+  TypeSignature speculationSignature(const std::string &Name,
+                                     const FunctionInfo &FI,
+                                     const TypeSignature *Forced);
   /// The analysis view compilation uses (inlined when enabled). Must run
   /// on the engine's thread: building the view mutates the LoadedFunction.
   const std::shared_ptr<FunctionInfo> &compileView(LoadedFunction &LF);
@@ -488,22 +496,25 @@ private:
   /// Compiles \p Name for \p Sig in \p Mode and inserts into the
   /// repository. Returns the inserted object or null. \p Optimistic
   /// controls guarded real-domain math (disabled when recompiling after a
-  /// deoptimization).
+  /// deoptimization). A compiler exception quarantines the function.
   CompiledObjectPtr compileAndInsert(const std::string &Name,
                                      const TypeSignature &Sig,
                                      CodeGenMode Mode,
                                      CompiledObject::Origin From,
                                      bool Optimistic = true);
 
-  /// Builds the compile request for \p FI (shared across the synchronous
-  /// and background paths).
-  CompileRequest makeRequest(const FunctionInfo *FI, const TypeSignature &Sig,
-                             CodeGenMode Mode, bool Optimistic) const;
+  /// The one compile path, foreground and background: a shared-cache
+  /// clone or a fresh compile, then insert (null if \p Name's source moved
+  /// past generation \p Gen), store save and shared-cache publish. Throws
+  /// what the compiler or the repository throws.
+  CompiledObjectPtr compileVersion(const std::string &Name,
+                                   const FunctionInfo &FI,
+                                   const TypeSignature &Sig, CodeGenMode Mode,
+                                   bool Optimistic,
+                                   CompiledObject::Origin From, uint64_t Gen);
 
-  /// Worker-side body of speculateAsync: picks the signature (override,
-  /// then most-called observed, then backward-hint guess), compiles, and
-  /// publishes unless the source generation moved (invalidate/reload)
-  /// while in flight.
+  /// Worker-side body of speculateAsync: compileVersion plus the
+  /// speculation accounting.
   void backgroundCompile(std::string Name,
                          std::shared_ptr<const FunctionInfo> FI,
                          std::shared_ptr<const Function> KeepAlive,
@@ -547,23 +558,51 @@ private:
   /// exists. Never throws; a failed save only costs a future recompile.
   void saveToStore(const CompiledObject &Obj);
 
-  /// The body of one store save (pool task or synchronous fallback):
-  /// honors the erased-function tombstone on both sides of the write, so
-  /// a save racing a source removal can never leave an entry on disk.
-  void runStoreSave(RepoStore &S, const CompiledObject &Obj,
-                    uint64_t SrcHash);
+  /// Runs store write \p Write for \p Name, checking the erased-function
+  /// tombstone on both sides so a write racing a source removal never
+  /// leaves a .mjo (\p Native: a .mjn) on disk.
+  template <typename WriteFn>
+  void writeUnlessErased(const std::string &Name, bool Native, WriteFn Write);
+
+  /// The content hash of \p Name's current source, when one is loaded.
+  bool sourceHash(const std::string &Name, uint64_t &Out) const;
 
   /// Reacts to the snooper reporting a deleted .m file: the functions it
   /// defined stop resolving and their compiled versions - in memory and on
   /// disk - are invalidated rather than served stale.
   void handleRemovedSource(const SourceSnooper::Change &C);
 
-  std::vector<ValuePtr> runCompiled(const CompiledObject &Obj,
-                                    std::vector<ValuePtr> Args,
-                                    size_t NumOuts);
-  std::vector<ValuePtr> interpretCall(LoadedFunction &LF,
-                                      std::vector<ValuePtr> Args,
-                                      size_t NumOuts);
+  //===--------------------------------------------------------------------===
+  // The invocation path
+  //===--------------------------------------------------------------------===
+
+  /// The execution tiers, fastest first.
+  enum class Tier : uint8_t { Native, Vm, Interp };
+
+  /// RAII set-up of callFunction and runScript (op budget, per-session
+  /// account and token, call depth).
+  struct InvocationScope;
+
+  /// Profiles the invocation, looks up a safe version and, on a miss,
+  /// compiles per policy; null means interpret. Outlined to keep its
+  /// locals off the recursive frame (runTiers -> VM -> callFunction).
+  [[gnu::noinline]] CompiledObjectPtr versionFor(
+      LoadedFunction &LF, const std::vector<ValuePtr> &Args);
+
+  /// The run loop: snapshot the PRNG and output once, try native, the VM,
+  /// the interpreter; every tier edge restores the snapshot and falls to
+  /// the next tier.
+  std::vector<ValuePtr> runTiers(LoadedFunction &LF,
+                                 std::vector<ValuePtr> &Args, size_t NumOuts);
+
+  /// Runs \p Run on tier \p T: the one place a call's execute time is
+  /// recorded (depth 1 only; nested calls are inside their caller's).
+  template <typename RunFn>
+  std::vector<ValuePtr> timedRun(Tier T, const std::string &Name, RunFn &&Run);
+
+  /// The VM deopt edge: counts it, re-speculates after repeated deopts,
+  /// and returns \p Obj's pessimistic replacement (null if that fails).
+  [[gnu::noinline]] CompiledObjectPtr deoptimize(const CompiledObject &Obj);
 
   //===--------------------------------------------------------------------===
   // Native tier internals
@@ -582,16 +621,14 @@ private:
   std::shared_ptr<native::NativeModule> nativeModuleFor(
       const CompiledObject &Obj);
 
-  /// The native-tier leg of runCompiled: runs \p Obj's promoted module if
-  /// one is ready, handling deopt/fault degradation. Returns true with
-  /// \p Out filled when the native tier served the call. Deliberately
-  /// never inlined: runCompiled sits on the VM's call-recursion cycle,
-  /// and keeping this leg's locals and exception machinery out of that
-  /// frame keeps the MaxCallDepth guard reachable on sanitizer stacks.
+  /// The native leg of the run loop: true with \p Out filled when \p Obj's
+  /// promoted module served the call; a deopt or fault quarantines it.
+  /// Never inlined: runTiers sits on the VM's call-recursion cycle, and
+  /// keeping this leg's locals and exception machinery out of that frame
+  /// keeps the MaxCallDepth guard reachable on sanitizer stacks.
   [[gnu::noinline]] bool runNativeTier(const CompiledObject &Obj,
                                        const std::vector<ValuePtr> &Args,
-                                       size_t NumOuts, const Rng &SavedRand,
-                                       size_t OutputMark,
+                                       size_t NumOuts,
                                        std::vector<ValuePtr> &Out);
 
   /// Emits C for \p Code, drives the system compiler, loads the result,
@@ -691,18 +728,15 @@ private:
   struct NativeVersion {
     enum class State { Pending, Ready, Failed } St = State::Pending;
     std::shared_ptr<native::NativeModule> Module;
+    std::shared_ptr<native::NativeModule> ready() const {
+      return St == State::Ready ? Module : nullptr;
+    }
   };
   std::unordered_map<std::string, NativeVersion> NativeVersions;
   /// Validated .mjn entries waiting for their source (and its hash) to be
   /// loaded, exactly like PendingWarm. Engine-thread only.
   std::unordered_map<std::string, std::vector<RepoStore::NativeEntry>>
       PendingNativeWarm;
-  /// Pool task ids of native compiles still in the queue; shutdown on a
-  /// shared pool cancels through these. Guarded by SpecMutex.
-  std::unordered_set<ThreadPool::TaskId> QueuedNativeIds;
-  /// Native compiles queued or running on the pool. Guarded by SpecMutex;
-  /// drainCompiles/flushRepoStore/shutdown wait on it via SpecIdleCv.
-  unsigned PendingNative = 0;
   /// True when this engine installed the process-wide memory limit (so the
   /// destructor knows to lift it).
   bool OwnsMemLimit = false;
@@ -769,26 +803,12 @@ private:
   /// synchronously instead of enqueueing onto a pool that may be paused or
   /// mid-teardown, and no new speculation is accepted.
   bool Draining = false;
-  /// Pool task ids of store saves still sitting in the queue (erased when
-  /// a worker starts one); shutdown on a shared pool cancels through
-  /// these. Guarded by SpecMutex.
-  std::unordered_set<ThreadPool::TaskId> QueuedSaveIds;
   /// Per-session byte budget and interrupt token (PerSessionLimits);
   /// internally synchronized.
   mem::Account MemAccount;
   exec::Token IntrToken;
   /// sharedCacheConfigHash(Opts), resolved once at construction.
   uint64_t CfgHash = 0;
-  /// Functions queued or compiling: the in-flight dedup set. Keyed by
-  /// name (one speculative compile per function at a time) because the
-  /// speculated signature is only computed on the worker.
-  std::vector<std::string> InFlight;
-  /// Pool task ids of compiles still sitting in the queue (erased when a
-  /// worker starts the task); promoteSpeculation reorders through these.
-  std::unordered_map<std::string, ThreadPool::TaskId> QueuedIds;
-  /// The same queued compiles in worker pick-up order (mirrors the pool's
-  /// queue; inspection + promotion bookkeeping).
-  std::vector<std::string> QueuedOrder;
   /// Source generation per function; bumped on invalidation so stale
   /// in-flight results are dropped instead of published.
   std::unordered_map<std::string, uint64_t> SourceGeneration;
@@ -801,9 +821,33 @@ private:
   /// engine thread when a signature overtakes the previous best and read
   /// by the workers when picking what to speculate. Guarded by SpecMutex.
   std::unordered_map<std::string, TypeSignature> ObservedSigByFn;
-  unsigned PendingCompiles = 0;
-  /// Store saves still queued or running on the pool (flushRepoStore).
-  unsigned PendingSaves = 0;
+  /// The background-task ledger: this engine's tasks on the pool, queued
+  /// ones in pick-up order. A task marks its entry started when a worker
+  /// picks it up and erases it when done; promotion and shutdown's cancel
+  /// loop work through the queued entries, the barriers wait for the
+  /// ledger to empty, and a compile entry is also the one-per-function
+  /// in-flight dedup (keyed by name: the signature is picked on the
+  /// worker).
+  enum class TaskKind : uint8_t { Compile, Save, Native };
+  struct Task {
+    uint64_t Seq;              ///< the engine's key, known to the task body
+    ThreadPool::TaskId PoolId; ///< what promote() and cancel() take
+    TaskKind Kind;
+    std::string Name;
+    bool Started = false;
+  };
+  std::vector<Task> Tasks;
+  uint64_t LastTaskSeq = 0;
+  /// Queues \p Body as a \p Kind task and enters it in the ledger (under
+  /// SpecMutex). False, leaving no trace, without a pool, while draining,
+  /// or on an enqueue fault: the caller then works synchronously.
+  template <typename Fn>
+  bool enqueueTask(TaskKind Kind, const std::string &Name, Fn Body);
+  /// \p Name's queued or running compile task, or end() (under SpecMutex).
+  std::vector<Task>::const_iterator compileTask(const std::string &Name) const;
+  /// No compile or native build (nor, \p WithSaves, save) is queued or
+  /// running (under SpecMutex).
+  bool tasksIdle(bool WithSaves) const;
   /// The speculation counters, migrated onto the registry ("spec.*");
   /// speculationStats() composes the legacy struct from them. The
   /// double-valued timers stay plain and SpecMutex-guarded.

@@ -63,16 +63,12 @@ void Repository::insert(CompiledObject Obj) {
   // pushed: evicting a 0-hit newcomer would immediately re-miss and
   // recompile the same signature, livelocking the compile pipeline.
   while (VersionCap && Versions.size() > VersionCap) {
-    size_t Victim = 0;
-    uint64_t VictimHits = UINT64_MAX;
-    for (size_t I = 0; I + 1 < Versions.size(); ++I) {
-      uint64_t H = Versions[I]->Hits.load(std::memory_order_relaxed);
-      if (H < VictimHits) {
-        Victim = I;
-        VictimHits = H;
-      }
-    }
-    Versions.erase(Versions.begin() + Victim);
+    // Versions are kept in insertion order, so position is age.
+    auto Victim = leastHitVictim(
+        Versions.begin(), Versions.end(), std::prev(Versions.end()),
+        [](auto I) { return (*I)->Hits.load(std::memory_order_relaxed); },
+        [&](auto I) { return I - Versions.begin(); });
+    Versions.erase(Victim);
     EvictionsCount.inc();
   }
 }

@@ -56,6 +56,19 @@ struct CompiledObject {
   mutable std::atomic<uint64_t> Hits{0};
 
   CompiledObject() = default;
+  /// A copy of this version for another owner (a save task, a sibling
+  /// session's repository): identity and code, the IR shared; the use
+  /// count starts at zero.
+  CompiledObject clone() const {
+    CompiledObject C;
+    C.FunctionName = FunctionName;
+    C.Sig = Sig;
+    C.Code = Code;
+    C.Mode = Mode;
+    C.CompileSeconds = CompileSeconds;
+    C.From = From;
+    return C;
+  }
   CompiledObject(CompiledObject &&O) noexcept
       : FunctionName(std::move(O.FunctionName)), Sig(std::move(O.Sig)),
         Code(std::move(O.Code)), Mode(O.Mode),
@@ -77,6 +90,30 @@ struct CompiledObject {
 /// Shared handle to a repository entry: stays valid after the entry is
 /// replaced or invalidated.
 using CompiledObjectPtr = std::shared_ptr<const CompiledObject>;
+
+/// The least-hit eviction policy Repository and SharedCodeCache share: the
+/// entry in [\p First, \p Last) with the fewest hits, the oldest among
+/// ties, never \p Spare - the entry just inserted, whose zero hits say
+/// nothing yet (evicting it would re-miss and recompile the same code).
+/// \p HitsOf and \p AgeOf map an iterator to its hit count and insertion
+/// age (lower is older). Returns \p Last when \p Spare is the only entry.
+template <typename Iter, typename HitsFn, typename AgeFn>
+Iter leastHitVictim(Iter First, Iter Last, Iter Spare, HitsFn HitsOf,
+                    AgeFn AgeOf) {
+  Iter Victim = Last;
+  uint64_t VictimHits = 0;
+  for (Iter I = First; I != Last; ++I) {
+    if (I == Spare)
+      continue;
+    uint64_t H = HitsOf(I);
+    if (Victim == Last || H < VictimHits ||
+        (H == VictimHits && AgeOf(I) < AgeOf(Victim))) {
+      Victim = I;
+      VictimHits = H;
+    }
+  }
+  return Victim;
+}
 
 class Repository {
 public:

@@ -49,25 +49,18 @@ bool SharedCodeCache::publish(const std::string &Key, CompiledObjectPtr Obj,
     It->second.Obj = Obj;
     It->second.Seq = NextSeq++;
     PublishedCount.inc();
-    // Evict the least-hit entry (insertion order breaks ties), sparing
-    // the fresh insert: it has zero hits by construction, but the session
-    // that just compiled it is about to use it - churning it straight
-    // back out would turn the cap into a compile amplifier. The scan is
-    // O(n), but publishes are as rare as compiles; lookups, the hot path,
-    // stay on the shared lock.
+    // Evict by the shared least-hit policy, sparing the fresh insert: the
+    // session that just compiled it is about to use it - churning it
+    // straight back out would turn the cap into a compile amplifier. The
+    // scan is O(n), but publishes are as rare as compiles; lookups, the
+    // hot path, stay on the shared lock.
     while (Capacity && Table.size() > Capacity) {
-      auto Victim = Table.end();
-      uint64_t VictimHits = 0;
-      for (auto VI = Table.begin(); VI != Table.end(); ++VI) {
-        if (VI == It)
-          continue;
-        uint64_t H = VI->second.Hits.load(std::memory_order_relaxed);
-        if (Victim == Table.end() || H < VictimHits ||
-            (H == VictimHits && VI->second.Seq < Victim->second.Seq)) {
-          Victim = VI;
-          VictimHits = H;
-        }
-      }
+      auto Victim = leastHitVictim(
+          Table.begin(), Table.end(), It,
+          [](auto I) {
+            return I->second.Hits.load(std::memory_order_relaxed);
+          },
+          [](auto I) { return I->second.Seq; });
       if (Victim == Table.end())
         break; // capacity 1: the fresh insert is the whole cache
       Table.erase(Victim);

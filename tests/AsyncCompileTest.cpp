@@ -422,6 +422,51 @@ TEST(EngineAsync, SnoopOrdersHotFirstAndPromotionStillWins) {
   EXPECT_TRUE(E.queuedSpeculations().empty());
 }
 
+TEST(EngineAsync, ShutdownOnPausedSharedPoolCancelsEveryTaskKind) {
+  // A session leaving a shared pool takes all of its queued work with it -
+  // compiles, store saves and native builds alike - without waiting on the
+  // pool (the service pauses it when shedding load) and without leaving a
+  // task that would later run against the freed engine.
+  std::string Dir = ::testing::TempDir() + "/majic_async_shutdown";
+  std::filesystem::remove_all(Dir);
+  ThreadPool Pool(1, ThreadPool::Priority::Idle);
+  Pool.setPaused(true);
+  {
+    EngineOptions O;
+    O.Policy = CompilePolicy::Jit;
+    O.SharedSpecPool = &Pool;
+    O.RepoDir = Dir;
+    O.NativeTier = true;
+    O.NativeHotThreshold = 1;
+    Engine E(O);
+    for (std::string Name : {"aa", "bb", "cc"})
+      ASSERT_TRUE(
+          E.addSource(Name, "function y = " + Name + "(x)\ny = x + 1;\n"));
+    ASSERT_TRUE(E.speculateAsync("aa"));
+    ASSERT_TRUE(E.speculateAsync("bb"));
+    // The foreground compile queues its store save; with a usable C
+    // compiler the call also crosses the hotness threshold and queues a
+    // native build. The call itself is served by the VM.
+    auto R =
+        E.callFunction("cc", {makeValue(Value::intScalar(4))}, 1, SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 5);
+    size_t Queued = E.nativeTierAvailable() ? 4 : 3;
+    EXPECT_EQ(Pool.queueDepth(), Queued);
+
+    E.shutdown(); // returns although the pool will not run anything
+    EXPECT_EQ(Pool.queueDepth(), 0u);
+    EXPECT_EQ(E.speculationStats().Dropped, 2u);
+    EXPECT_EQ(E.repoStoreStats().Saved, 0u);
+    EXPECT_EQ(E.nativeCompiles(), 0u);
+  }
+  // Nothing is left to run against the destroyed engine (ASan would see
+  // it).
+  Pool.setPaused(false);
+  Pool.waitIdle();
+  EXPECT_EQ(Pool.metricsSink().Finished->value(), 0u);
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(EngineAsync, SnoopQueuesAndStatsAddUp) {
   std::string Dir = ::testing::TempDir() + "/majic_async_snoop";
   std::filesystem::remove_all(Dir);

@@ -14,12 +14,14 @@
 
 #include "ast/Parser.h"
 #include "backend/Compiler.h"
+#include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 using namespace majic;
 
@@ -598,21 +600,95 @@ TEST(Deopt, NoDeoptWhenGuardsHold) {
   EXPECT_EQ(E.deoptimizations(), 0u);
 }
 
-TEST(Deopt, OutputAndRandRolledBackOnRetry) {
-  // The failed optimistic attempt prints and draws random numbers before
-  // tripping the guard; the retry must not duplicate either.
+/// One tier edge a call can fall down after printing and drawing random
+/// numbers: the sqrt operand and argument that trip (or skip) the guard,
+/// the engine configuration that forces the edge, and the counters it must
+/// leave behind.
+struct DeoptEdge {
+  const char *Name;
+  const char *SqrtOf; ///< the guarded sqrt's operand, in terms of n
+  double N;
+  bool Native;        ///< start on the native tier (promoted at once)
+  const char *Faults; ///< fault schedule armed around the call, or null
+  uint64_t NativeDeopts, Deopts, InterpFallbacks;
+};
+
+class DeoptRollback : public ::testing::TestWithParam<DeoptEdge> {
+protected:
+  void TearDown() override { faults::reset(); }
+};
+
+TEST_P(DeoptRollback, OutputAndRandRolledBackOnRetry) {
+  // The failed attempts print and draw random numbers before tripping the
+  // guard; whichever tier finally serves the call must not duplicate
+  // either.
+  const DeoptEdge &Edge = GetParam();
   std::string Src = "function s = f(n)\nfprintf('once\\n');\nr = rand;\n"
-                    "y = sqrt(3 - n);\ns = r + imag(y);\n";
+                    "y = sqrt(" +
+                    std::string(Edge.SqrtOf) + ");\ns = r + imag(y);\n";
   EngineOptions Interp;
   Interp.Policy = CompilePolicy::InterpretOnly;
-  RunOutcome Ref = runWith(Interp, Src, "f", {7}, 1);
-  EngineOptions Jit;
-  Jit.Policy = CompilePolicy::Jit;
-  RunOutcome Got = runWith(Jit, Src, "f", {7}, 1);
+  RunOutcome Ref = runWith(Interp, Src, "f", {Edge.N}, 1);
+
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 0; // native builds happen on the call
+  O.NativeTier = Edge.Native;
+  O.NativeHotThreshold = 1;
+  Engine E(O);
+  if (Edge.Native && !E.nativeTierAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  ASSERT_TRUE(E.addSource("f", Src)) << E.diagnostics();
+  if (Edge.Faults) {
+    ASSERT_TRUE(faults::loadSpec(Edge.Faults));
+  }
+  RunOutcome Got;
+  try {
+    for (const ValuePtr &V :
+         E.callFunction("f", {makeValue(Value::intScalar(Edge.N))}, 1,
+                        SourceLoc()))
+      Got.Results.push_back(*V);
+  } catch (const MatlabError &Err) {
+    Got.Threw = true;
+    Got.ErrorMessage = Err.message();
+  }
+  faults::reset();
+  Got.Output = E.context().output();
   ASSERT_FALSE(Got.Threw) << Got.ErrorMessage;
   EXPECT_EQ(Ref.Output, Got.Output);
+  EXPECT_EQ(Got.Output, "once\n");
   EXPECT_DOUBLE_EQ(Ref.Results[0].re(0), Got.Results[0].re(0));
+
+  std::map<std::string, uint64_t> Counters;
+  for (const auto &[Name, Value] : E.sampleMetrics().Counters)
+    Counters[Name] = Value;
+  EXPECT_EQ(Counters["native.deopts"], Edge.NativeDeopts);
+  EXPECT_EQ(Counters["engine.deopts"], Edge.Deopts);
+  EXPECT_EQ(Counters["engine.interp_fallbacks"], Edge.InterpFallbacks);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TierEdges, DeoptRollback,
+    ::testing::Values(
+        // With a constant-signed operand the compiler knows sqrt goes
+        // complex and emits no guard: nothing to roll back.
+        DeoptEdge{"ConstantSignNoGuard", "3 - n", 7, false, nullptr, 0, 0, 0},
+        // cos(n) * 3 - 2 has the static range [-5, 1], so sqrt is compiled
+        // optimistically real with a guard, which n = 9 trips. The
+        // optimistic VM code deopts; its pessimistic replacement serves.
+        DeoptEdge{"VmToPessimisticVm", "cos(n) * 3 - 2", 9, false, nullptr, 0,
+                  1, 0},
+        // Machine code deopts, then the optimistic VM, then the
+        // pessimistic VM serves.
+        DeoptEdge{"NativeToVmToPessimisticVm", "cos(n) * 3 - 2", 9, true,
+                  nullptr, 1, 1, 0},
+        // The VM deopts and the pessimistic recompile (the second codegen)
+        // fails: the interpreter serves.
+        DeoptEdge{"VmToInterpreter", "cos(n) * 3 - 2", 9, false,
+                  "codegen=at:2", 0, 1, 1}),
+    [](const ::testing::TestParamInfo<DeoptEdge> &I) {
+      return std::string(I.param.Name);
+    });
 
 //===----------------------------------------------------------------------===//
 // Performance-shape sanity (not timing: instruction counts)

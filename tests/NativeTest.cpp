@@ -222,6 +222,34 @@ TEST_F(NativeEngineTest, WarmStartRunsNativeWithZeroCompilerInvocations) {
   EXPECT_EQ(Warm.jitCompiles(), 0u);
 }
 
+TEST_F(NativeEngineTest, WarmStartAdoptsNativeEntryWithoutItsMjo) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  {
+    Engine Cold(nativeOpts());
+    ASSERT_TRUE(Cold.addSource("hot", kHotSource));
+    Cold.callFunction("hot", {intArg(kHotArg)}, 1, SourceLoc());
+    ASSERT_EQ(Cold.nativeCompiles(), 1u);
+    ASSERT_EQ(Cold.repoStoreStats().NativeSaved, 1u);
+  }
+  // The VM half of the warm start is gone (deleted or quarantined); the
+  // .so is intact and must still be adopted on its own.
+  auto Mjo = filesWith(".mjo");
+  ASSERT_EQ(Mjo.size(), 1u);
+  fs::remove(Mjo[0]);
+
+  Engine Warm(nativeOpts());
+  EXPECT_EQ(Warm.repoStoreStats().NativeLoaded, 1u);
+  ASSERT_TRUE(Warm.addSource("hot", kHotSource));
+  auto R = Warm.callFunction("hot", {intArg(kHotArg)}, 1, SourceLoc());
+  EXPECT_DOUBLE_EQ(R[0]->scalarValue(), kHotExpect);
+  // The VM version has to be recompiled (its .mjo is gone), but the native
+  // version comes from disk: no C compiler invocation.
+  EXPECT_EQ(Warm.jitCompiles(), 1u);
+  EXPECT_EQ(Warm.nativeCompiles(), 0u);
+  EXPECT_EQ(Warm.nativeHits(), 1u);
+}
+
 TEST_F(NativeEngineTest, SourceDriftDiscardsNativeEntry) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";

@@ -337,6 +337,17 @@ TEST_F(RobustnessTest, VersionCapEvictsLeastUsed) {
     if (V->Sig == HotSig)
       HotSurvived = true;
   EXPECT_TRUE(HotSurvived);
+
+  // Every cold version carries the one hit of its post-insert lookup, so
+  // each eviction is a tie broken by age: the oldest cold version went
+  // first, leaving the hot one plus the three newest.
+  std::vector<std::string> Survivors;
+  for (const CompiledObjectPtr &V : E.repository().versions("f"))
+    Survivors.push_back(V->Sig.str());
+  std::vector<std::string> Expected;
+  for (size_t C : {2, 10, 11, 12})
+    Expected.push_back(TypeSignature::ofValues({ShapeArg(C)}).str());
+  EXPECT_EQ(Survivors, Expected);
 }
 
 TEST_F(RobustnessTest, VersionCapHoldsOverLongSession) {
