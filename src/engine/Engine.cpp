@@ -9,7 +9,6 @@
 #include "analysis/Inliner.h"
 #include "backend/CEmitter.h"
 #include "infer/Speculate.h"
-#include "ir/Serialize.h"
 #include "obs/Trace.h"
 #include "support/FaultInjection.h"
 #include "support/Hashing.h"
@@ -180,15 +179,15 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
     NativeComp = std::make_unique<native::NativeCompiler>(Opts.NativeCC);
   // Open the persistent repository (warm start): sweep temp files a crashed
   // save left behind, then read and validate every entry. Entries wait in
-  // PendingWarm until their source is loaded - only then can the source
-  // hash confirm the compiled code still matches the .m text.
+  // Warm until their source is loaded - only then can the source hash
+  // confirm the compiled code still matches the .m text.
   std::string RepoDir =
       optionOrEnv(Opts.RepoDir, "MAJIC_REPO_DIR", Opts.EnvFallbacks);
   if (!RepoDir.empty()) {
     Store = std::make_unique<RepoStore>(RepoDir);
     Store->sweepTemps();
     for (RepoStore::Entry &E : Store->loadAll())
-      PendingWarm[E.Obj.FunctionName].push_back(std::move(E));
+      Warm[E.Obj.FunctionName].Objects.push_back(std::move(E));
     if (NativeComp && NativeComp->available()) {
       // Native payloads carry a narrower stamp: the ABI version plus the
       // compiler's identification line fold into the extra, so a cc
@@ -205,14 +204,14 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
       Store->setNativeStampExtra(hashing::fnv1a(
           &StampFacts, sizeof(StampFacts), hashing::fnv1a("majic-native")));
       for (RepoStore::NativeEntry &E : Store->loadAllNative())
-        PendingNativeWarm[E.FunctionName].push_back(std::move(E));
+        Warm[E.FunctionName].Natives.push_back(std::move(E));
     }
   }
   // The profile summary lives beside the .mjo entries unless an explicit
   // profile directory points elsewhere. Persisted counts merge into the
   // in-memory profiles right away (so the snooper ranks hot-first before
-  // anything runs); the observed signatures wait in PendingProfileSigs
-  // until their source is loaded and the arity can be checked.
+  // anything runs); the observed signatures wait in Warm until their
+  // source is loaded and the arity can be checked.
   std::string ProfDir =
       optionOrEnv(Opts.ProfileDir, "MAJIC_PROFILE_DIR", Opts.EnvFallbacks);
   if (ProfDir.empty())
@@ -230,7 +229,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
       for (const RepoStore::ProfileSig &Sg : PS.Sigs)
         Profiles.mergeSignatureCount(PS.Name, Sg.SigStr, Sg.Count);
       if (!PS.Sigs.empty())
-        PendingProfileSigs[PS.Name] = std::move(PS.Sigs);
+        Warm[PS.Name].Sigs = std::move(PS.Sigs);
     }
   }
   // Background workers for speculation and store saves. A shared pool (the
@@ -350,31 +349,28 @@ bool Engine::addSource(const std::string &Name, const std::string &Source) {
   if (!Mod)
     return false;
 
-  Module *M = Mod.get();
   Modules.push_back(std::move(Mod));
+  registerModule(*Modules.back(), hashing::fnv1a(Source));
+  return true;
+}
+
+void Engine::registerModule(Module &M, uint64_t SrcHash) {
   ScopedPhaseTimer T(Phases, Phase::Disambiguate);
   LastLoadedNames.clear();
-  uint64_t SrcHash = hashing::fnv1a(Source);
-  for (const auto &F : M->functions()) {
+  for (const auto &F : M.functions()) {
+    const std::string &Name = F->name();
     LoadedFunction LF;
     LF.F = F.get();
-    LF.M = M;
-    LF.Info = disambiguate(*F, *M);
-    // New source shadows any previous definition; drop stale code and
-    // make sure in-flight background compiles of the old source are
-    // dropped rather than published.
-    invalidateFunction(F->name());
-    Functions[F->name()] = std::move(LF);
-    seedObservedSignatures(F->name(), Functions[F->name()]);
-    LastLoadedNames.push_back(F->name());
-    {
-      std::lock_guard<std::mutex> L(SpecMutex);
-      SourceHashByFn[F->name()] = SrcHash;
-      ErasedFns.erase(F->name());
-    }
-    adoptWarmEntries(F->name(), SrcHash);
+    LF.M = &M;
+    LF.Info = disambiguate(*F, M);
+    // New source shadows any previous definition: its code is retired and
+    // in-flight background work on the old source is dropped rather than
+    // published.
+    startGeneration(Name, SrcHash);
+    seedObservedSignatures(Name, Functions[Name] = std::move(LF));
+    LastLoadedNames.push_back(Name);
+    adoptWarmEntries(Name, SrcHash);
   }
-  return true;
 }
 
 bool Engine::loadFile(const std::string &Path) {
@@ -511,7 +507,7 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
   uint64_t Gen;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
-    Gen = SourceGeneration[Name];
+    Gen = FnStates[Name].Generation;
   }
   // The compiler must never take the engine down: any exception escaping
   // the pipeline (injected faults included; MatlabError does not derive
@@ -532,15 +528,17 @@ CompiledObjectPtr Engine::compileVersion(const std::string &Name,
                                          CodeGenMode Mode, bool Optimistic,
                                          CompiledObject::Origin From,
                                          uint64_t Gen) {
+  // Read after Gen: if Gen is still current at the insert below, this is
+  // the hash of the source compiled, to save and share the object under.
+  std::optional<uint64_t> SrcHash = sourceHash(Name);
   // Cross-session reuse: another session may already have compiled exactly
   // this (source, signature, configuration). A hit clones the immutable
   // code body into this engine's repository - zero compile work.
   std::string CacheKey;
-  uint64_t SrcHash = 0;
   CompiledObjectPtr Cached;
-  if (Opts.SharedCache && sourceHash(Name, SrcHash)) {
+  if (Opts.SharedCache && SrcHash) {
     CacheKey =
-        SharedCodeCache::key(Name, SrcHash, CfgHash, Mode, Optimistic, Sig);
+        SharedCodeCache::key(Name, *SrcHash, CfgHash, Mode, Optimistic, Sig);
     Cached = Opts.SharedCache->lookup(CacheKey);
   }
   CompiledObject Obj;
@@ -584,7 +582,7 @@ CompiledObjectPtr Engine::compileVersion(const std::string &Name,
     // Publish only when the source generation is unchanged: an invalidate
     // or reload while a background compile ran makes its object stale.
     std::lock_guard<std::mutex> L(SpecMutex);
-    if (SourceGeneration[Name] != Gen)
+    if (FnStates[Name].Generation != Gen)
       return nullptr;
     Repo.insert(std::move(Obj));
     Inserted = Repo.lookup(Name, Sig);
@@ -594,9 +592,10 @@ CompiledObjectPtr Engine::compileVersion(const std::string &Name,
   // pending until the object is on disk. Fresh compiles (not cache-served
   // ones) go to the sibling sessions too.
   if (Inserted) {
-    saveToStore(*Inserted);
+    if (SrcHash)
+      saveToStore(*Inserted, *SrcHash);
     if (!Cached && !CacheKey.empty())
-      Opts.SharedCache->publish(CacheKey, Inserted, SrcHash);
+      Opts.SharedCache->publish(CacheKey, Inserted, *SrcHash);
   }
   return Inserted;
 }
@@ -659,54 +658,54 @@ bool Engine::tasksIdle(bool WithSaves) const {
 //===----------------------------------------------------------------------===//
 
 void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
-  if (!Store)
+  auto It = Warm.find(Name);
+  if (!Store || It == Warm.end())
     return;
-  if (auto Warm = PendingWarm.extract(Name))
-    for (RepoStore::Entry &E : Warm.mapped()) {
-      if (E.SourceHash != SrcHash) {
-        // The .m text changed since this was compiled: the final rung of
-        // the validation ladder fails, and the entry must not shadow the
-        // new source. Delete the file; the new source recompiles on demand.
-        Store->discardStale(E.Path);
-        continue;
-      }
-      try {
-        Repo.insert(std::move(E.Obj));
-        Store->noteAdopted();
-        Profiles.recordWarmAdoption(Name);
-        obs::traceInstant("warm.adopt", "repo", Name);
-      } catch (...) {
-        // An injected repo-insert fault while adopting costs one
-        // recompile; loading must never take the engine down.
-      }
+  // Each entry is offered once; the persisted signatures stay behind for
+  // later registrations and the profile summary.
+  for (RepoStore::Entry &E : std::exchange(It->second.Objects, {})) {
+    if (E.SourceHash != SrcHash) {
+      // The .m text changed since this was compiled: the final rung of
+      // the validation ladder fails, and the entry must not shadow the
+      // new source. Delete the file; the new source recompiles on demand.
+      Store->discardStale(E.Path);
+      continue;
     }
+    try {
+      Repo.insert(std::move(E.Obj));
+      Store->noteAdopted();
+      Profiles.recordWarmAdoption(Name);
+      obs::traceInstant("warm.adopt", "repo", Name);
+    } catch (...) {
+      // An injected repo-insert fault while adopting costs one
+      // recompile; loading must never take the engine down.
+    }
+  }
   // The native half of the warm start, independent of the .mjo half (a
   // quarantined or deleted .mjo must not cost a cc run when the .so is
   // intact): a validated .mjn whose source hash still matches dlopens
   // straight into a Ready version - machine code with zero compiler
   // invocations. Any loader refusal (injected fault, ABI drift the stamp
   // missed) discards the file and the function simply stays on the VM
-  // until re-promoted.
-  if (auto Warm = PendingNativeWarm.extract(Name))
-    for (RepoStore::NativeEntry &E : Warm.mapped()) {
-      if (E.SourceHash != SrcHash) {
-        Store->discardStale(E.Path);
-        continue;
-      }
-      try {
-        std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
-        std::shared_ptr<native::NativeModule> Mod =
-            native::NativeCompiler::load(So, E.FunctionName, E.NumOuts);
-        std::lock_guard<std::mutex> L(SpecMutex);
-        NativeVersion &NV = NativeVersions[nativeKey(Name, E.Sig)];
-        NV.St = NativeVersion::State::Ready;
-        NV.Module = std::move(Mod);
-        obs::traceInstant("warm.adopt_native", "native", Name);
-      } catch (...) {
-        NativeFailures.inc();
-        Store->discardStale(E.Path);
-      }
+  // until re-promoted. The dlopen runs before SpecMutex is taken.
+  for (RepoStore::NativeEntry &E : std::exchange(It->second.Natives, {})) {
+    if (E.SourceHash != SrcHash) {
+      Store->discardStale(E.Path);
+      continue;
     }
+    try {
+      std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
+      std::shared_ptr<native::NativeModule> Mod =
+          native::NativeCompiler::load(So, E.FunctionName, E.NumOuts);
+      std::lock_guard<std::mutex> L(SpecMutex);
+      FnStates[Name].Natives.emplace_back(
+          E.Sig, NativeVersion{NativeVersion::State::Ready, std::move(Mod)});
+      obs::traceInstant("warm.adopt_native", "native", Name);
+    } catch (...) {
+      NativeFailures.inc();
+      Store->discardStale(E.Path);
+    }
+  }
 }
 
 template <typename WriteFn>
@@ -714,7 +713,8 @@ void Engine::writeUnlessErased(const std::string &Name, bool Native,
                                WriteFn Write) {
   auto Erased = [&] {
     std::lock_guard<std::mutex> L(SpecMutex);
-    return ErasedFns.count(Name) != 0;
+    const FnState *S = state(Name);
+    return S && S->Erased;
   };
   if (Erased())
     return;
@@ -732,9 +732,8 @@ void Engine::writeUnlessErased(const std::string &Name, bool Native,
   }
 }
 
-void Engine::saveToStore(const CompiledObject &Obj) {
-  uint64_t SrcHash;
-  if (!Store || !Obj.Code || !sourceHash(Obj.FunctionName, SrcHash))
+void Engine::saveToStore(const CompiledObject &Obj, uint64_t SrcHash) {
+  if (!Store || !Obj.Code)
     return;
   // Clone for the task: the repository keeps the original. The IR itself
   // is shared.
@@ -756,13 +755,15 @@ void Engine::saveToStore(const CompiledObject &Obj) {
   Save();
 }
 
-bool Engine::sourceHash(const std::string &Name, uint64_t &Out) const {
+std::optional<uint64_t> Engine::sourceHash(const std::string &Name) const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  auto It = SourceHashByFn.find(Name);
-  if (It == SourceHashByFn.end())
-    return false;
-  Out = It->second;
-  return true;
+  const FnState *S = state(Name);
+  return S ? S->SrcHash : std::nullopt;
+}
+
+const Engine::FnState *Engine::state(const std::string &Name) const {
+  auto It = FnStates.find(Name);
+  return It == FnStates.end() ? nullptr : &It->second;
 }
 
 void Engine::flushRepoStore() {
@@ -800,26 +801,14 @@ void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
     Names.push_back(C.FunctionName);
   }
   for (const std::string &Fn : Names) {
-    // Same teardown as a reload - drop compiled versions, bump the source
-    // generation so in-flight compiles are discarded - plus: the function
-    // stops resolving, and its on-disk entries go too (a deleted source
-    // must not resurrect on the next warm start).
-    invalidateFunction(Fn);
+    // A generation without source: the same teardown as a reload, plus
+    // the tombstone, set before the files are erased so a save queued
+    // before this removal cannot recreate them. The function stops
+    // resolving, and nothing read from disk for it is adopted later (a
+    // deleted source must not resurrect on the next warm start).
+    startGeneration(Fn, std::nullopt);
     Functions.erase(Fn);
-    PendingWarm.erase(Fn);
-    PendingNativeWarm.erase(Fn);
-    PendingProfileSigs.erase(Fn);
-    {
-      std::lock_guard<std::mutex> L(SpecMutex);
-      SourceHashByFn.erase(Fn);
-      // A deleted function must not keep steering speculation either.
-      ObservedSigByFn.erase(Fn);
-      // Tombstone before erasing the files: a background save queued
-      // before this removal must not recreate them (writeUnlessErased
-      // checks the tombstone on both sides of its write).
-      if (Store)
-        ErasedFns.insert(Fn);
-    }
+    Warm.erase(Fn);
     if (Store)
       Store->erase(Fn);
   }
@@ -867,7 +856,7 @@ bool Engine::speculateAsync(const std::string &Name,
       Spec.DedupedRequests.inc();
       return false;
     }
-    uint64_t Gen = SourceGeneration[Name];
+    uint64_t Gen = FnStates[Name].Generation;
     // Count the request only once the pool accepted it (an injected
     // pool-enqueue fault leaves no bookkeeping behind).
     if (!enqueueTask(TaskKind::Compile, Name,
@@ -979,45 +968,50 @@ SpeculationStats Engine::speculationStats() const {
   return S;
 }
 
-void Engine::invalidateFunction(const std::string &Name) {
-  // Bumping the generation and dropping published code under the same
-  // lock the workers publish under: a worker finishing now either sees
-  // the new generation (and drops its result) or published before the
-  // invalidate (and its object is erased here).
+void Engine::startGeneration(const std::string &Name,
+                             std::optional<uint64_t> SrcHash) {
+  // Unloaded after SpecMutex is released: dropping the last handle on a
+  // module dlcloses it.
+  std::vector<std::pair<TypeSignature, NativeVersion>> Retired;
+  // One update under the lock the workers publish under: a worker
+  // finishing now either sees the new generation (and drops its result)
+  // or published before it (and its code is dropped here).
   std::lock_guard<std::mutex> L(SpecMutex);
-  ++SourceGeneration[Name];
+  FnState &S = FnStates[Name];
+  ++S.Generation;
   // New source gets a fresh chance: the quarantine recorded a crash of the
   // old generation's compile.
-  Quarantined.erase(Name);
+  S.Quarantined = false;
   Repo.invalidate(Name);
   // Native versions compiled from the old source must not serve the new
-  // one. Warm .mjn entries stay pending: like PendingWarm above them,
-  // they carry the source hash they were compiled from, and adoption
-  // discards the stale ones itself.
-  std::string Prefix = Name + '\0';
-  for (auto It = NativeVersions.begin(); It != NativeVersions.end();) {
-    if (It->first.rfind(Prefix, 0) == 0)
-      It = NativeVersions.erase(It);
-    else
-      ++It;
-  }
+  // one. Warm .mjn entries are left alone: they carry the source hash
+  // they were compiled from, and adoption discards the stale ones itself.
+  Retired.swap(S.Natives);
+  S.SrcHash = SrcHash;
+  S.Erased = !SrcHash && Store;
+  // A deleted function must not keep steering speculation either.
+  if (!SrcHash)
+    S.ObservedSig.reset();
 }
 
 void Engine::noteCompileFailure(const std::string &Name, uint64_t Gen) {
   std::lock_guard<std::mutex> L(SpecMutex);
   Spec.Failed.inc();
-  if (SourceGeneration[Name] == Gen)
-    Quarantined[Name] = Gen;
+  FnState &S = FnStates[Name];
+  if (S.Generation == Gen)
+    S.Quarantined = true;
 }
 
 bool Engine::isQuarantined(const std::string &Name) const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  return Quarantined.count(Name) != 0;
+  const FnState *S = state(Name);
+  return S && S->Quarantined;
 }
 
 size_t Engine::quarantineCount() const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  return Quarantined.size();
+  return std::count_if(FnStates.begin(), FnStates.end(),
+                       [](const auto &KV) { return KV.second.Quarantined; });
 }
 
 void Engine::requestInterrupt() {
@@ -1084,7 +1078,7 @@ const std::string &Engine::observeSignature(LoadedFunction &LF,
       // no extra locking.
       LF.BestIdx = Idx;
       std::lock_guard<std::mutex> L(SpecMutex);
-      ObservedSigByFn[LF.F->name()] = O->Sig;
+      FnStates[LF.F->name()].ObservedSig = O->Sig;
     }
   }
   return O->Str;
@@ -1093,20 +1087,20 @@ const std::string &Engine::observeSignature(LoadedFunction &LF,
 bool Engine::observedSignatureFor(const std::string &Name, size_t Arity,
                                   TypeSignature &Out) const {
   std::lock_guard<std::mutex> L(SpecMutex);
-  auto It = ObservedSigByFn.find(Name);
-  if (It == ObservedSigByFn.end() || It->second.size() != Arity)
+  const FnState *S = state(Name);
+  if (!S || !S->ObservedSig || S->ObservedSig->size() != Arity)
     return false;
-  Out = It->second;
+  Out = *S->ObservedSig;
   return true;
 }
 
 void Engine::seedObservedSignatures(const std::string &Name,
                                     LoadedFunction &LF) {
-  auto It = PendingProfileSigs.find(Name);
-  if (It == PendingProfileSigs.end() || LF.F->isScript())
+  auto It = Warm.find(Name);
+  if (It == Warm.end() || LF.F->isScript())
     return;
   size_t Arity = LF.F->params().size();
-  for (const RepoStore::ProfileSig &PS : It->second) {
+  for (const RepoStore::ProfileSig &PS : It->second.Sigs) {
     // Persisted signatures whose arity drifted from the live source are
     // stale; dropping them here means they can never win best-observed.
     if (PS.Sig.size() != Arity ||
@@ -1120,7 +1114,7 @@ void Engine::seedObservedSignatures(const std::string &Name,
   }
   if (LF.BestIdx != SIZE_MAX) {
     std::lock_guard<std::mutex> L(SpecMutex);
-    ObservedSigByFn[Name] = LF.Obs[LF.BestIdx].Sig;
+    FnStates[Name].ObservedSig = LF.Obs[LF.BestIdx].Sig;
   }
 }
 
@@ -1138,7 +1132,7 @@ void Engine::saveProfilesToStore() {
     S.Invocations = P.Invocations;
     S.OtherSignatures = P.OtherSignatures;
     const LoadedFunction *LF = find(P.Name);
-    auto PendingIt = PendingProfileSigs.find(P.Name);
+    auto WarmIt = Warm.find(P.Name);
     for (const auto &[Str, Count] : P.ArgSignatures) {
       if (Str == UntypedSig)
         continue;
@@ -1151,8 +1145,8 @@ void Engine::saveProfilesToStore() {
             Found = true;
             break;
           }
-      if (!Found && PendingIt != PendingProfileSigs.end())
-        for (const RepoStore::ProfileSig &PS : PendingIt->second)
+      if (!Found && WarmIt != Warm.end())
+        for (const RepoStore::ProfileSig &PS : WarmIt->second.Sigs)
           if (PS.SigStr == Str) {
             Sig = PS.Sig;
             Found = true;
@@ -1466,15 +1460,6 @@ bool Engine::knowsFunction(const std::string &Name) {
   return Functions.count(Name) != 0;
 }
 
-std::string Engine::nativeKey(const std::string &Name,
-                              const TypeSignature &Sig) {
-  ser::ByteWriter W;
-  ser::writeTypeSignature(W, Sig);
-  return Name + '\0' +
-         format("%016llx",
-                static_cast<unsigned long long>(hashing::fnv1a(W.bytes())));
-}
-
 std::vector<ValuePtr> Engine::NativeHostBridge::callFunction(
     const std::string &Name, std::vector<ValuePtr> Args, size_t NumOuts) {
   return E->callFunction(Name, std::move(Args), NumOuts, SourceLoc());
@@ -1482,46 +1467,47 @@ std::vector<ValuePtr> Engine::NativeHostBridge::callFunction(
 
 std::shared_ptr<native::NativeModule>
 Engine::nativeModuleFor(const CompiledObject &Obj) {
-  std::string Key = nativeKey(Obj.FunctionName, Obj.Sig);
+  const std::string &Name = Obj.FunctionName;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
-    auto It = NativeVersions.find(Key);
-    if (It != NativeVersions.end())
-      return It->second.ready();
+    if (NativeVersion *NV = FnStates[Name].native(Obj.Sig))
+      return NV->ready();
   }
   if (!NativeComp->available())
     return nullptr;
   // Promotion is profile-guided: the function must have earned the
   // hotness threshold (counting invocations persisted from previous
   // sessions, so a warm start re-promotes immediately).
-  if (Profiles.invocations(Obj.FunctionName) < Opts.NativeHotThreshold)
+  if (Profiles.invocations(Name) < Opts.NativeHotThreshold)
     return nullptr;
+  uint64_t Gen;
   {
     std::lock_guard<std::mutex> L(SpecMutex);
     if (Draining)
       return nullptr;
-    auto [It, New] = NativeVersions.emplace(Key, NativeVersion());
-    if (!New)
-      return It->second.ready();
+    // Only this thread adds versions, so Sig is still absent: it waits
+    // Pending for the build queued at this generation.
+    FnState &S = FnStates[Name];
+    S.Natives.emplace_back(Obj.Sig, NativeVersion());
+    Gen = S.Generation;
     // Compile off-thread when a pool exists: the invocation that crossed
     // the threshold still runs on the VM while cc works in the
     // background (the paper's "the user never waits", applied to a
     // compiler we do not control).
-    if (enqueueTask(TaskKind::Native, Obj.FunctionName,
-                    [this, Name = Obj.FunctionName, Sig = Obj.Sig,
-                     Code = Obj.Code] {
-                      buildNative(Name, Sig, Code);
+    if (enqueueTask(TaskKind::Native, Name,
+                    [this, Name, Sig = Obj.Sig, Code = Obj.Code, Gen] {
+                      buildNative(Name, Sig, Code, Gen);
                     }))
       return nullptr;
   }
-  buildNative(Obj.FunctionName, Obj.Sig, Obj.Code);
+  buildNative(Name, Obj.Sig, Obj.Code, Gen);
   std::lock_guard<std::mutex> L(SpecMutex);
-  return NativeVersions[Key].ready();
+  return FnStates[Name].native(Obj.Sig)->ready();
 }
 
 void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
-                         std::shared_ptr<const IRFunction> Code) {
-  std::string Key = nativeKey(Name, Sig);
+                         std::shared_ptr<const IRFunction> Code,
+                         uint64_t Gen) {
   std::shared_ptr<native::NativeModule> Mod;
   std::vector<uint8_t> So;
   try {
@@ -1536,26 +1522,34 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
     NativeFailures.inc();
     obs::traceInstant("native.fail", "native", Name);
     std::lock_guard<std::mutex> L(SpecMutex);
-    NativeVersions[Key].St = NativeVersion::State::Failed;
+    FnState &S = FnStates[Name];
+    if (S.Generation == Gen)
+      S.native(Sig)->St = NativeVersion::State::Failed;
     return;
   }
   NativeCompiles.inc();
   obs::traceInstant("native.promote", "native", Name);
   uint32_t NumOuts = static_cast<uint32_t>(Mod->numOuts());
+  std::optional<uint64_t> SrcHash;
   {
+    // Publish, and read the hash to save under, only when the source
+    // generation is unchanged: a reload while cc ran makes this machine
+    // code stale, and it must neither serve nor persist under the new
+    // source's hash.
     std::lock_guard<std::mutex> L(SpecMutex);
-    NativeVersion &NV = NativeVersions[Key];
-    NV.St = NativeVersion::State::Ready;
-    NV.Module = std::move(Mod);
+    FnState &S = FnStates[Name];
+    if (S.Generation != Gen)
+      return;
+    *S.native(Sig) = {NativeVersion::State::Ready, std::move(Mod)};
+    SrcHash = S.SrcHash;
   }
   // Persist the .so beside the .mjo so the next session warm-starts into
   // machine code with zero compiler invocations.
-  uint64_t SrcHash;
-  if (!Store || !sourceHash(Name, SrcHash))
+  if (!Store || !SrcHash)
     return;
   writeUnlessErased(Name, /*Native=*/true, [&] {
     Store->saveNative(Name, Sig, NumOuts, std::string(So.begin(), So.end()),
-                      SrcHash);
+                      *SrcHash);
   });
 }
 
@@ -1563,9 +1557,8 @@ void Engine::quarantineNative(const std::string &Name,
                               const TypeSignature &Sig) {
   {
     std::lock_guard<std::mutex> L(SpecMutex);
-    NativeVersion &NV = NativeVersions[nativeKey(Name, Sig)];
-    NV.St = NativeVersion::State::Failed;
-    NV.Module.reset();
+    if (NativeVersion *NV = FnStates[Name].native(Sig))
+      *NV = {NativeVersion::State::Failed, nullptr};
   }
   // Drop the on-disk entries too: code that failed at run time must not
   // resurrect on the next warm start.
@@ -1645,22 +1638,7 @@ std::string Engine::runScript(const std::string &Source) {
     if (!Known)
       InteractiveDefs.push_back({Name, Source});
     Modules.push_back(std::move(Mod));
-    Module *M = Modules.back().get();
-    uint64_t SrcHash = hashing::fnv1a(Source);
-    for (const auto &F : M->functions()) {
-      LoadedFunction LF;
-      LF.F = F.get();
-      LF.M = M;
-      LF.Info = disambiguate(*F, *M);
-      invalidateFunction(F->name());
-      Functions[F->name()] = std::move(LF);
-      seedObservedSignatures(F->name(), Functions[F->name()]);
-      {
-        std::lock_guard<std::mutex> L(SpecMutex);
-        SourceHashByFn[F->name()] = SrcHash;
-      }
-      adoptWarmEntries(F->name(), SrcHash);
-    }
+    registerModule(*Modules.back(), hashing::fnv1a(Source));
     return "";
   }
 

@@ -50,7 +50,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -463,7 +462,7 @@ private:
     };
     /// Observed signatures, capped at obs::FunctionProfiles::kMaxSignatures
     /// entries (overflow renders fresh per call). Engine-thread only; the
-    /// most-called signature is published into ObservedSigByFn (under
+    /// most-called signature is published into FnState::ObservedSig (under
     /// SpecMutex) for the background workers.
     std::vector<SigObs> Obs;
     size_t BestIdx = SIZE_MAX; ///< index into Obs of the published best
@@ -531,14 +530,22 @@ private:
   /// publishes the most-called one for the speculation workers.
   void seedObservedSignatures(const std::string &Name, LoadedFunction &LF);
 
+  /// The one registration path (addSource, interactive definitions): each
+  /// function of \p M starts a generation with hash \p SrcHash, is
+  /// disambiguated, seeded and offered its warm-start entries.
+  void registerModule(Module &M, uint64_t SrcHash);
+
   /// Composes the persisted profile summaries and writes them through the
   /// profile store (destructor, after the workers are joined).
   void saveProfilesToStore();
 
-  /// Invalidates \p Name's compiled code and bumps its source generation
-  /// so in-flight background compiles of the old source are dropped.
-  /// Also lifts any quarantine: new source gets a fresh chance to compile.
-  void invalidateFunction(const std::string &Name);
+  /// Starts a new source generation of \p Name: compiled and native
+  /// versions and the quarantine of the old one are retired, and its
+  /// background results are dropped when they finish. \p SrcHash is the
+  /// new source's hash; nullopt means the source was removed, which also
+  /// forgets the observed signature and, with a store, sets the tombstone.
+  void startGeneration(const std::string &Name,
+                       std::optional<uint64_t> SrcHash);
 
   /// Records a compile failure for \p Name at source generation \p Gen and
   /// quarantines the function (no recompile attempts until the source
@@ -554,9 +561,9 @@ private:
   /// repository, drifted ones are discarded from disk.
   void adoptWarmEntries(const std::string &Name, uint64_t SrcHash);
 
-  /// Persists \p Obj to the on-disk store, on the idle pool when one
-  /// exists. Never throws; a failed save only costs a future recompile.
-  void saveToStore(const CompiledObject &Obj);
+  /// Persists \p Obj (compiled from source hash \p SrcHash) on the idle
+  /// pool when one exists. Never throws; a failed save costs a recompile.
+  void saveToStore(const CompiledObject &Obj, uint64_t SrcHash);
 
   /// Runs store write \p Write for \p Name, checking the erased-function
   /// tombstone on both sides so a write racing a source removal never
@@ -565,7 +572,7 @@ private:
   void writeUnlessErased(const std::string &Name, bool Native, WriteFn Write);
 
   /// The content hash of \p Name's current source, when one is loaded.
-  bool sourceHash(const std::string &Name, uint64_t &Out) const;
+  std::optional<uint64_t> sourceHash(const std::string &Name) const;
 
   /// Reacts to the snooper reporting a deleted .m file: the functions it
   /// defined stop resolving and their compiled versions - in memory and on
@@ -608,11 +615,6 @@ private:
   // Native tier internals
   //===--------------------------------------------------------------------===
 
-  /// Map key of one native version: function name + '\0' + signature hash
-  /// (same hash the store's file names use).
-  static std::string nativeKey(const std::string &Name,
-                               const TypeSignature &Sig);
-
   /// The ready native module for \p Obj, or null. Tracks per-version
   /// promotion: once the function's recorded invocations reach the
   /// hotness threshold, queues a native compile on the background pool
@@ -632,10 +634,11 @@ private:
                                        std::vector<ValuePtr> &Out);
 
   /// Emits C for \p Code, drives the system compiler, loads the result,
-  /// publishes the module, and persists the .so bytes beside the .mjo.
+  /// publishes the module and persists the .so bytes beside the .mjo, both
+  /// only while \p Name is at \p Gen, the generation it was queued at.
   /// Never throws: any failure marks the version Failed (VM from then on).
   void buildNative(const std::string &Name, const TypeSignature &Sig,
-                   std::shared_ptr<const IRFunction> Code);
+                   std::shared_ptr<const IRFunction> Code, uint64_t Gen);
 
   /// Drops one native version after a runtime failure (deopt, injected
   /// fault): the module is discarded, the version pinned to the VM, and
@@ -695,7 +698,7 @@ private:
   /// in order reaches the same state) - the replay half of a hibernation
   /// snapshot.
   std::vector<ser::WorkspaceImage::SourceDef> InteractiveDefs;
-  /// Function names registered by the most recent addSource/loadFile (the
+  /// Function names registered by the most recent registerModule (the
   /// snooper speculates on these; a file's stem need not match them).
   std::vector<std::string> LastLoadedNames;
 
@@ -723,20 +726,6 @@ private:
   /// Present when NativeTier is on (even if the compiler probe failed -
   /// available() distinguishes). Null when the tier is off.
   std::unique_ptr<native::NativeCompiler> NativeComp;
-  /// One (function, signature) version's place in the tier. Guarded by
-  /// SpecMutex: workers publish Ready modules, the engine thread reads.
-  struct NativeVersion {
-    enum class State { Pending, Ready, Failed } St = State::Pending;
-    std::shared_ptr<native::NativeModule> Module;
-    std::shared_ptr<native::NativeModule> ready() const {
-      return St == State::Ready ? Module : nullptr;
-    }
-  };
-  std::unordered_map<std::string, NativeVersion> NativeVersions;
-  /// Validated .mjn entries waiting for their source (and its hash) to be
-  /// loaded, exactly like PendingWarm. Engine-thread only.
-  std::unordered_map<std::string, std::vector<RepoStore::NativeEntry>>
-      PendingNativeWarm;
   /// True when this engine installed the process-wide memory limit (so the
   /// destructor knows to lift it).
   bool OwnsMemLimit = false;
@@ -756,24 +745,16 @@ private:
   /// directories coincide, OwnedProfileStore otherwise, null when neither
   /// directory is configured.
   RepoStore *ProfileStore = nullptr;
-  /// Persisted observed signatures per function, waiting for the source
-  /// to be loaded so they can seed LoadedFunction::Obs (arity-checked
-  /// against the live source at that point). Engine-thread only.
-  std::unordered_map<std::string, std::vector<RepoStore::ProfileSig>>
-      PendingProfileSigs;
-  /// Entries loaded from disk at startup, keyed by function name, waiting
-  /// for their source to be loaded so the source-hash rung of the
-  /// validation ladder can run (adoptWarmEntries).
-  std::unordered_map<std::string, std::vector<RepoStore::Entry>> PendingWarm;
-  /// Content hash of each function's current source text. Guarded by
-  /// SpecMutex: background save tasks read it.
-  std::unordered_map<std::string, uint64_t> SourceHashByFn;
-  /// Functions whose on-disk entries were erased because their source was
-  /// deleted (cleared when the name is loaded again). Guarded by SpecMutex.
-  /// A save queued before the removal consults this tombstone around its
-  /// write, so the deleted function cannot resurrect on the next warm
-  /// start however the save and the erase interleave.
-  std::unordered_set<std::string> ErasedFns;
+  /// What startup read from disk for one function. Engine-thread only.
+  /// Registration moves the .mjo/.mjn entries out through the source-hash
+  /// rung (adoptWarmEntries); the persisted signatures stay, seeding every
+  /// registration (arity-checked) and the profile summary.
+  struct WarmEntries {
+    std::vector<RepoStore::Entry> Objects;
+    std::vector<RepoStore::NativeEntry> Natives;
+    std::vector<RepoStore::ProfileSig> Sigs;
+  };
+  std::unordered_map<std::string, WarmEntries> Warm;
   /// Function names each loaded file defined; snooper removal invalidates
   /// through this (a file's stem need not match its function names).
   std::unordered_map<std::string, std::vector<std::string>> FileFunctions;
@@ -809,18 +790,47 @@ private:
   exec::Token IntrToken;
   /// sharedCacheConfigHash(Opts), resolved once at construction.
   uint64_t CfgHash = 0;
-  /// Source generation per function; bumped on invalidation so stale
-  /// in-flight results are dropped instead of published.
-  std::unordered_map<std::string, uint64_t> SourceGeneration;
-  /// Functions whose compiler raised an exception, mapped to the source
-  /// generation that failed. While the generation is unchanged the engine
-  /// interprets them instead of retrying the compiler; a reload clears the
-  /// entry.
-  std::unordered_map<std::string, uint64_t> Quarantined;
-  /// The most-called observed signature per function, published by the
-  /// engine thread when a signature overtakes the previous best and read
-  /// by the workers when picking what to speculate. Guarded by SpecMutex.
-  std::unordered_map<std::string, TypeSignature> ObservedSigByFn;
+  /// One (function, signature) version's place in the native tier:
+  /// workers publish Ready modules, the engine thread reads.
+  struct NativeVersion {
+    enum class State { Pending, Ready, Failed } St = State::Pending;
+    std::shared_ptr<native::NativeModule> Module;
+    std::shared_ptr<native::NativeModule> ready() const {
+      return St == State::Ready ? Module : nullptr;
+    }
+  };
+  /// What the engine thread and the workers share about one function
+  /// (under SpecMutex). Created at its first registration and never erased: a removal keeps
+  /// the bumped generation and the tombstone.
+  struct FnState {
+    /// Bumped by every new source (startGeneration): a background result
+    /// built at an older generation is dropped instead of published.
+    uint64_t Generation = 0;
+    /// This generation's compiler raised an exception: interpret instead
+    /// of retrying until the source changes.
+    bool Quarantined = false;
+    /// Tombstone: the source was deleted and its on-disk entries erased.
+    /// A save queued before the removal checks it around its write
+    /// (writeUnlessErased), so the function cannot resurrect on the next
+    /// warm start however the save and the erase interleave.
+    bool Erased = false;
+    /// Content hash of the current source; empty once it is removed.
+    std::optional<uint64_t> SrcHash;
+    /// The most-called observed signature, published by the engine thread
+    /// and read by the workers when picking what to speculate.
+    std::optional<TypeSignature> ObservedSig;
+    /// This generation's native versions, one per signature.
+    std::vector<std::pair<TypeSignature, NativeVersion>> Natives;
+    NativeVersion *native(const TypeSignature &Sig) {
+      for (auto &[S, NV] : Natives)
+        if (S == Sig)
+          return &NV;
+      return nullptr;
+    }
+  };
+  std::unordered_map<std::string, FnState> FnStates;
+  /// \p Name's record, or null when never registered (under SpecMutex).
+  const FnState *state(const std::string &Name) const;
   /// The background-task ledger: this engine's tasks on the pool, queued
   /// ones in pick-up order. A task marks its entry started when a worker
   /// picks it up and erases it when done; promotion and shutdown's cancel

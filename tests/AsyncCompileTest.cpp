@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
+#include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -465,6 +466,40 @@ TEST(EngineAsync, ShutdownOnPausedSharedPoolCancelsEveryTaskKind) {
   Pool.waitIdle();
   EXPECT_EQ(Pool.metricsSink().Finished->value(), 0u);
   std::filesystem::remove_all(Dir);
+}
+
+TEST(EngineAsync, NativeBuildsRacingReloadsPublishCleanly) {
+  // Workers publish native versions while the engine thread reads them and
+  // reloads the function. The compile fault fires before cc runs, so every
+  // build publishes Failed and nothing is dlopen'd: what ThreadSanitizer
+  // sees is the engine's own bookkeeping.
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 1;
+  O.NativeTier = true;
+  O.NativeHotThreshold = 1;
+  Engine E(O);
+  if (!E.nativeTierAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  faults::reset();
+  faults::armEvery(faults::Site::NativeCompile, 1);
+  for (int Round = 0; Round != 20; ++Round) {
+    bool V2 = Round % 2;
+    ASSERT_TRUE(E.addSource("countdown", V2 ? kCountdownV2 : kCountdownV1));
+    for (int N = 1; N <= 3; ++N) {
+      auto R = E.callFunction("countdown", {makeValue(Value::intScalar(N))},
+                              1, SourceLoc());
+      double Sum = N * (N + 1) / 2;
+      ASSERT_DOUBLE_EQ(R[0]->scalarValue(), V2 ? 2 * Sum : Sum)
+          << "round " << Round;
+    }
+  }
+  E.drainCompiles();
+  EXPECT_GT(faults::stats(faults::Site::NativeCompile).Fired, 0u);
+  faults::reset();
+  EXPECT_EQ(E.nativeCompiles(), 0u);
+  EXPECT_EQ(E.nativeHits(), 0u);
+  EXPECT_GT(E.nativeFailures(), 0u);
 }
 
 TEST(EngineAsync, SnoopQueuesAndStatsAddUp) {

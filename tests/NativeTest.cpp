@@ -250,6 +250,88 @@ TEST_F(NativeEngineTest, WarmStartAdoptsNativeEntryWithoutItsMjo) {
   EXPECT_EQ(Warm.nativeHits(), 1u);
 }
 
+TEST_F(NativeEngineTest, ReloadDuringNativeBuildNeverServesOldCode) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // A native build queued for the old source finishes after a reload: its
+  // machine code must neither serve the new source nor be persisted under
+  // the new source's hash.
+  const char *kV1 = "function y = hot(x)\ny = x + 1;\n";
+  const char *kV2 = "function y = hot(x)\ny = x + 100;\n";
+  auto call = [](Engine &E) {
+    return E.callFunction("hot", {intArg(2)}, 1, SourceLoc())[0]->scalarValue();
+  };
+  EngineOptions O = nativeOpts();
+  O.BackgroundCompileThreads = 1;
+  {
+    Engine E(O);
+    ASSERT_TRUE(E.addSource("hot", kV1));
+    E.pauseBackgroundCompiles();
+    // Crosses the hotness threshold: v1's native build waits in the queue.
+    EXPECT_DOUBLE_EQ(call(E), 3);
+    ASSERT_TRUE(E.addSource("hot", kV2));
+    E.resumeBackgroundCompiles();
+    E.drainCompiles();
+    EXPECT_DOUBLE_EQ(call(E), 102);
+    // v2 is promoted in its own right and then served natively.
+    E.drainCompiles();
+    EXPECT_DOUBLE_EQ(call(E), 102);
+    EXPECT_EQ(E.nativeHits(), 1u);
+    E.flushRepoStore();
+  }
+
+  // The persisted .so is v2's: served from disk, no compiler invocation.
+  Engine Warm(nativeOpts());
+  ASSERT_TRUE(Warm.addSource("hot", kV2));
+  EXPECT_DOUBLE_EQ(call(Warm), 102);
+  EXPECT_EQ(Warm.nativeCompiles(), 0u);
+  EXPECT_EQ(Warm.nativeHits(), 1u);
+}
+
+TEST_F(NativeEngineTest, NativeVersionsArePerSignature) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  Engine E(nativeOpts());
+  ASSERT_TRUE(E.addSource("hot", kHotSource));
+  auto call = [&E](ValuePtr X) {
+    return E.callFunction("hot", {std::move(X)}, 1, SourceLoc())[0]
+        ->scalarValue();
+  };
+  auto realArg = [] { return makeValue(Value::scalar(2.5)); };
+
+  // Two argument signatures, two native versions, each serving its own.
+  EXPECT_DOUBLE_EQ(call(intArg(kHotArg)), kHotExpect);
+  EXPECT_DOUBLE_EQ(call(realArg()), 5); // 1:2.5 is [1 2]
+  EXPECT_EQ(E.nativeCompiles(), 2u);
+  EXPECT_EQ(E.nativeHits(), 2u);
+  EXPECT_DOUBLE_EQ(call(intArg(kHotArg)), kHotExpect);
+  EXPECT_DOUBLE_EQ(call(realArg()), 5);
+  EXPECT_EQ(E.nativeCompiles(), 2u);
+  EXPECT_EQ(E.nativeHits(), 4u);
+
+  // A fault on the real call quarantines that version only.
+  faults::armAt(faults::Site::NativeRun, 1);
+  EXPECT_DOUBLE_EQ(call(realArg()), 5);
+  faults::reset();
+  EXPECT_EQ(E.nativeFailures(), 1u);
+  EXPECT_EQ(E.nativeHits(), 4u);
+  EXPECT_DOUBLE_EQ(call(realArg()), 5); // pinned to the VM
+  EXPECT_EQ(E.nativeHits(), 4u);
+  EXPECT_DOUBLE_EQ(call(intArg(kHotArg)), kHotExpect);
+  EXPECT_EQ(E.nativeHits(), 5u);
+  EXPECT_EQ(E.nativeCompiles(), 2u);
+
+  // A reload drops both: the new source compiles natively at both
+  // signatures again, quarantine lifted, and serves its own answers.
+  ASSERT_TRUE(E.addSource("hot", "function y = hot(x)\ny = 0;\n"
+                                 "for k = 1:x\ny = y + k;\nend\n"));
+  EXPECT_DOUBLE_EQ(call(intArg(kHotArg)), 55);
+  EXPECT_DOUBLE_EQ(call(realArg()), 3);
+  EXPECT_EQ(E.nativeCompiles(), 4u);
+  EXPECT_EQ(E.nativeHits(), 7u);
+  EXPECT_EQ(E.nativeFailures(), 1u);
+}
+
 TEST_F(NativeEngineTest, SourceDriftDiscardsNativeEntry) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";
