@@ -39,5 +39,8 @@ cmake --build build-tsan -j >/dev/null
 # The set is the ctest label "tsan" (tests/CMakeLists.txt says which
 # suites are left out and why).
 ctest --test-dir build-tsan --output-on-failure -L tsan
+# The compile queue's ledger and records, repeated: a lost lock site shows
+# up as a reported race rather than a rare flake.
+build-tsan/tests/async_compile_test --gtest_repeat=20
 
 echo "== all checks passed =="

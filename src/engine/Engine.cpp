@@ -23,19 +23,10 @@
 using namespace majic;
 
 const char *majic::compilePolicyName(CompilePolicy P) {
-  switch (P) {
-  case CompilePolicy::InterpretOnly:
-    return "interpret";
-  case CompilePolicy::Mcc:
-    return "mcc";
-  case CompilePolicy::Falcon:
-    return "falcon";
-  case CompilePolicy::Jit:
-    return "jit";
-  case CompilePolicy::Speculative:
-    return "spec";
-  }
-  majic_unreachable("invalid policy");
+  // Indexed in CompilePolicy's declaration order.
+  static const char *const Names[] = {"interpret", "mcc", "falcon", "jit",
+                                      "spec"};
+  return Names[static_cast<size_t>(P)];
 }
 
 namespace {
@@ -72,7 +63,10 @@ constexpr uint64_t kRespeculateDeopts = 2;
 
 } // namespace
 
-Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
+Engine::Engine(EngineOptions OptsIn)
+    : Opts(std::move(OptsIn)),
+      Queue(Repo, Metrics, Opts.SharedSpecPool, Opts.BackgroundCompileThreads),
+      Persist(Queue, Repo, Profiles) {
   // Arm the fault-injection schedule from MAJIC_FAULTS once per process;
   // later engines leave whatever schedule the tests armed via the API.
   static bool FaultEnvLoaded = (faults::loadEnv(), true);
@@ -109,7 +103,7 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   }
   // Native-tier knobs resolve before the config hash computes: the tier
   // flag is part of the shared-cache key. MAJIC_NATIVE opts in without
-  // recompiling the embedder (the same pattern as MAJIC_NO_FUSION).
+  // recompiling the embedder.
   if (const char *Env = std::getenv("MAJIC_NATIVE"); Env && *Env)
     Opts.NativeTier = true;
   if (Opts.NativeCC.empty()) {
@@ -118,14 +112,12 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
     else
       Opts.NativeCC = "cc";
   }
-  if (uint64_t Hot = envLimit("MAJIC_NATIVE_HOT"))
-    Opts.NativeHotThreshold = static_cast<unsigned>(Hot);
   CfgHash = sharedCacheConfigHash(Opts);
   Repo.setVersionCap(Opts.MaxVersionsPerFunction);
   // Wire the observability subsystem. The repository's hit/miss/eviction
-  // counters and the engine's own counters register as externally-owned
-  // instruments; member order guarantees the registry outlives them. The
-  // hot-path histograms are registry-owned, resolved once here.
+  // counters and the engine's own register as externally-owned instruments
+  // (the compile queue registers its own); member order guarantees the
+  // registry outlives them. The hot-path histograms are registry-owned.
   Repo.registerMetrics(Metrics);
   Metrics.registerCounter("engine.interp_fallbacks", InterpFallbacks);
   Metrics.registerCounter("engine.jit_compiles", JitCompiles);
@@ -134,16 +126,6 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   Metrics.registerCounter("native.failures", NativeFailures);
   Metrics.registerCounter("native.deopts", NativeDeopts);
   Metrics.registerCounter("native.hits", NativeHits);
-  Metrics.registerCounter("spec.queued", Spec.Queued);
-  Metrics.registerCounter("spec.completed", Spec.Completed);
-  Metrics.registerCounter("spec.dropped", Spec.Dropped);
-  Metrics.registerCounter("spec.deduped_requests", Spec.DedupedRequests);
-  Metrics.registerCounter("spec.inflight_interpreted",
-                          Spec.InFlightInterpreted);
-  Metrics.registerCounter("spec.promoted", Spec.Promoted);
-  Metrics.registerCounter("spec.failed", Spec.Failed);
-  Metrics.registerCounter("spec.observed_sig_compiles",
-                          Spec.ObservedSigCompiles);
   Inst.CompileSeconds = &Metrics.histogram("compile.seconds");
   Inst.InferSeconds = &Metrics.histogram("compile.infer.seconds");
   Inst.CodeGenSeconds = &Metrics.histogram("compile.codegen.seconds");
@@ -162,9 +144,6 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
     obs::setTraceEnabled(true);
   MetricsFile =
       optionOrEnv(Opts.MetricsPath, "MAJIC_METRICS", Opts.EnvFallbacks);
-  // Environment kill switch for elementwise fusion (A/B measurement).
-  if (const char *Env = std::getenv("MAJIC_NO_FUSION"); Env && *Env)
-    Opts.FuseElementwise = false;
   // Pin the dense-kernel thread count when the embedder asked for one;
   // 0 leaves the process-wide default (env override, then hardware).
   if (Opts.ComputeThreads)
@@ -177,82 +156,12 @@ Engine::Engine(EngineOptions OptsIn) : Opts(std::move(OptsIn)) {
   NativeHostAdapter.E = this;
   if (Opts.NativeTier)
     NativeComp = std::make_unique<native::NativeCompiler>(Opts.NativeCC);
-  // Open the persistent repository (warm start): sweep temp files a crashed
-  // save left behind, then read and validate every entry. Entries wait in
-  // Warm until their source is loaded - only then can the source hash
-  // confirm the compiled code still matches the .m text.
-  std::string RepoDir =
-      optionOrEnv(Opts.RepoDir, "MAJIC_REPO_DIR", Opts.EnvFallbacks);
-  if (!RepoDir.empty()) {
-    Store = std::make_unique<RepoStore>(RepoDir);
-    Store->sweepTemps();
-    for (RepoStore::Entry &E : Store->loadAll())
-      Warm[E.Obj.FunctionName].Objects.push_back(std::move(E));
-    if (NativeComp && NativeComp->available()) {
-      // Native payloads carry a narrower stamp: the ABI version plus the
-      // compiler's identification line fold into the extra, so a cc
-      // upgrade or an ABI bump turns last session's .so files into
-      // routine skew rather than loadable code. With the compiler absent
-      // the .mjn files are left untouched - their provenance cannot be
-      // re-validated, and the tier is dormant anyway.
-      struct {
-        uint32_t Abi;
-        uint32_t Zero;
-        uint64_t CompilerId;
-      } StampFacts = {native::kNativeABIVersion, 0,
-                      hashing::fnv1a(NativeComp->compilerId())};
-      Store->setNativeStampExtra(hashing::fnv1a(
-          &StampFacts, sizeof(StampFacts), hashing::fnv1a("majic-native")));
-      for (RepoStore::NativeEntry &E : Store->loadAllNative())
-        Warm[E.FunctionName].Natives.push_back(std::move(E));
-    }
-  }
-  // The profile summary lives beside the .mjo entries unless an explicit
-  // profile directory points elsewhere. Persisted counts merge into the
-  // in-memory profiles right away (so the snooper ranks hot-first before
-  // anything runs); the observed signatures wait in Warm until their
-  // source is loaded and the arity can be checked.
-  std::string ProfDir =
-      optionOrEnv(Opts.ProfileDir, "MAJIC_PROFILE_DIR", Opts.EnvFallbacks);
-  if (ProfDir.empty())
-    ProfDir = RepoDir;
-  if (!ProfDir.empty()) {
-    if (Store && ProfDir == RepoDir) {
-      ProfileStore = Store.get();
-    } else {
-      OwnedProfileStore = std::make_unique<RepoStore>(ProfDir);
-      OwnedProfileStore->sweepTemps();
-      ProfileStore = OwnedProfileStore.get();
-    }
-    for (RepoStore::ProfileSummary &PS : ProfileStore->loadProfiles()) {
-      Profiles.mergePersisted(PS.Name, PS.Invocations, PS.OtherSignatures);
-      for (const RepoStore::ProfileSig &Sg : PS.Sigs)
-        Profiles.mergeSignatureCount(PS.Name, Sg.SigStr, Sg.Count);
-      if (!PS.Sigs.empty())
-        Warm[PS.Name].Sigs = std::move(PS.Sigs);
-    }
-  }
-  // Background workers for speculation and store saves. A shared pool (the
-  // multi-session service) takes precedence; otherwise idle-priority
-  // workers are spawned so background compilation only consumes cycles the
-  // interactive thread leaves free - responsiveness holds even on a
-  // single-core machine (the paper's "the user never waits"). An owned
-  // pool records into registry-owned instruments ("pool.spec.*"); a shared
-  // pool's instruments belong to its owner.
-  if (Opts.SharedSpecPool) {
-    SpecPool = Opts.SharedSpecPool;
-  } else if (Opts.BackgroundCompileThreads > 0) {
-    ThreadPool::MetricsSink Sink;
-    Sink.Enqueued = &Metrics.counter("pool.spec.enqueued");
-    Sink.Finished = &Metrics.counter("pool.spec.finished");
-    Sink.Promoted = &Metrics.counter("pool.spec.promoted");
-    Sink.QueueDepth = &Metrics.gauge("pool.spec.queue_depth");
-    Sink.QueueSeconds = &Metrics.histogram("pool.spec.queue_seconds");
-    Sink.RunSeconds = &Metrics.histogram("pool.spec.run_seconds");
-    OwnedSpecPool = std::make_unique<ThreadPool>(
-        Opts.BackgroundCompileThreads, ThreadPool::Priority::Idle, &Sink);
-    SpecPool = OwnedSpecPool.get();
-  }
+  // Open the persistent repository (warm start). The profile summary lives
+  // beside the .mjo entries unless an explicit profile directory is set.
+  Persist.open(optionOrEnv(Opts.RepoDir, "MAJIC_REPO_DIR", Opts.EnvFallbacks),
+               optionOrEnv(Opts.ProfileDir, "MAJIC_PROFILE_DIR",
+                           Opts.EnvFallbacks),
+               NativeComp.get());
 }
 
 Engine::~Engine() { shutdown(); }
@@ -261,43 +170,19 @@ void Engine::shutdown() {
   if (ShutdownDone)
     return;
   ShutdownDone = true;
-  if (OwnedSpecPool) {
-    // Workers observe Draining under SpecMutex and persist synchronously
-    // from then on, so nothing re-enqueues while the pool tears down.
-    {
-      std::lock_guard<std::mutex> L(SpecMutex);
-      Draining = true;
-    }
-    // A paused pool would never drain its queue; the pool destructor joins
-    // after finishing queued tasks, so un-pause first. In-flight tasks
-    // touch the repository and the speculation bookkeeping, which must
-    // outlive them - hence join before anything else is torn down.
-    OwnedSpecPool->setPaused(false);
-    OwnedSpecPool.reset();
-    std::lock_guard<std::mutex> L(SpecMutex);
-    SpecPool = nullptr;
-  } else if (SpecPool) {
-    // Shared pool: it outlives this engine and may be serving other
-    // sessions, so never drain or pause it. Cancel this engine's
-    // still-queued tasks (doing the bookkeeping their bodies would have),
-    // then wait out only the ones already running.
-    std::unique_lock<std::mutex> L(SpecMutex);
-    Draining = true;
-    for (auto It = Tasks.begin(); It != Tasks.end();) {
-      if (It->Started || !SpecPool->cancel(It->PoolId)) {
-        ++It; // running; its body does its own bookkeeping
-        continue;
-      }
-      if (It->Kind == TaskKind::Compile)
-        Spec.Dropped.inc();
-      It = Tasks.erase(It);
-    }
-    SpecIdleCv.wait(L, [this] { return tasksIdle(/*WithSaves=*/true); });
-    SpecPool = nullptr;
-  }
+  // This engine's background work is finished or cancelled before anything
+  // it touches is torn down.
+  Queue.shutdown();
   // Persist the profile summary now that all recording is quiesced; the
   // next session's snooper ranks its speculation queue by these counts.
-  saveProfilesToStore();
+  Persist.saveProfiles([this](const std::string &Fn, const std::string &Str)
+                           -> const TypeSignature * {
+    if (const LoadedFunction *LF = find(Fn))
+      for (const LoadedFunction::SigObs &O : LF->Obs)
+        if (O.Str == Str)
+          return &O.Sig;
+    return nullptr;
+  });
   // Final observability dumps, with every member still alive and all
   // recording quiesced (this engine's workers are joined or waited out).
   if (!MetricsFile.empty()) {
@@ -363,13 +248,28 @@ void Engine::registerModule(Module &M, uint64_t SrcHash) {
     LF.F = F.get();
     LF.M = &M;
     LF.Info = disambiguate(*F, M);
-    // New source shadows any previous definition: its code is retired and
-    // in-flight background work on the old source is dropped rather than
-    // published.
-    startGeneration(Name, SrcHash);
-    seedObservedSignatures(Name, Functions[Name] = std::move(LF));
+    // New source shadows any previous definition: its code is retired, and
+    // background work on the old source is dropped rather than published.
+    Queue.startGeneration(Name, SrcHash);
+    LoadedFunction &Live = Functions[Name] = std::move(LF);
+    if (!F->isScript()) {
+      // Persisted signatures whose arity drifted from the live source are
+      // stale; dropping them here means they can never win best-observed.
+      for (const RepoStore::ProfileSig &PS : Persist.warmSignatures(Name)) {
+        if (PS.Sig.size() != F->params().size() ||
+            Live.Obs.size() >= obs::FunctionProfiles::kMaxSignatures)
+          continue;
+        Live.Obs.push_back({PS.Sig, PS.SigStr, PS.Count});
+        if (PS.Count > Live.BestCount) {
+          Live.BestCount = PS.Count;
+          Live.BestIdx = Live.Obs.size() - 1;
+        }
+      }
+      if (Live.BestIdx != SIZE_MAX)
+        Queue.setObservedSignature(Name, Live.Obs[Live.BestIdx].Sig);
+    }
     LastLoadedNames.push_back(Name);
-    adoptWarmEntries(Name, SrcHash);
+    NativeFailures.inc(Persist.adopt(Name, SrcHash));
   }
 }
 
@@ -392,10 +292,6 @@ bool Engine::loadFile(const std::string &Path) {
   // the file deleted, exactly these must be invalidated (stem aside).
   FileFunctions[Path] = LastLoadedNames;
   return true;
-}
-
-void Engine::watchDirectory(const std::string &Dir) {
-  Snooper.watchDirectory(Dir);
 }
 
 unsigned Engine::snoop() {
@@ -433,9 +329,8 @@ unsigned Engine::snoop() {
                    });
   for (const auto &[Invocations, MTime, Fn] : ToSpeculate) {
     // With a worker pool the compile happens off this thread ("the user
-    // never waits for the compiler"); without one, fall back to the
-    // synchronous pre-async behavior.
-    if (SpecPool)
+    // never waits for the compiler"); without one, synchronously.
+    if (Queue.hasPool())
       speculateAsync(Fn);
     else
       precompileSpeculative(Fn);
@@ -481,18 +376,20 @@ Engine::LoadedFunction *Engine::compilable(const std::string &Name) {
 TypeSignature Engine::speculationSignature(const std::string &Name,
                                            const FunctionInfo &FI,
                                            const TypeSignature *Forced) {
-  // Pick order: an explicit override (re-speculation), then the
-  // most-called observed signature - what users actually call beats what
-  // the hint pass guesses - then the backward-hint guess, the cold-start
-  // fallback. Arity is checked against the live analysis view so a stale
-  // persisted profile can never force a wrong-arity compile.
+  // Pick order: an explicit override (re-speculation), then the most-called
+  // observed signature (what users call beats what the hint pass guesses),
+  // then the backward-hint guess. Arity is checked against the live view
+  // so a stale persisted profile can never force a wrong-arity compile.
   size_t Arity = FI.F->params().size();
   TypeSignature Sig;
   if (Forced && Forced->size() == Arity)
     Sig = *Forced;
-  else if (!observedSignatureFor(Name, Arity, Sig))
+  else if (std::optional<TypeSignature> Observed = Queue.read(
+               Name, [&](const FnState &S) { return S.observed(Arity); }))
+    Sig = std::move(*Observed);
+  else
     return speculateSignature(FI, Opts.Infer);
-  Spec.ObservedSigCompiles.inc();
+  Queue.Spec.ObservedSigCompiles.inc();
   return Sig;
 }
 
@@ -504,20 +401,16 @@ CompiledObjectPtr Engine::compileAndInsert(const std::string &Name,
   LoadedFunction *LF = compilable(Name);
   if (!LF)
     return nullptr;
-  uint64_t Gen;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    Gen = FnStates[Name].Generation;
-  }
-  // The compiler must never take the engine down: any exception escaping
-  // the pipeline (injected faults included; MatlabError does not derive
-  // from std::exception, hence catch-all) quarantines the function and the
-  // caller transparently falls back to the interpreter.
+  uint64_t Gen =
+      Queue.read(Name, [](const FnState &S) { return S.Generation; });
+  // The compiler must never take the engine down: any exception (injected
+  // faults included; MatlabError is no std::exception, hence catch-all)
+  // quarantines the function, and the caller falls back to interpreting.
   try {
     return compileVersion(Name, *compileView(*LF), Sig, Mode, Optimistic,
                           From, Gen);
   } catch (...) {
-    noteCompileFailure(Name, Gen);
+    Queue.noteCompileFailure(Name, Gen);
     return nullptr;
   }
 }
@@ -530,10 +423,10 @@ CompiledObjectPtr Engine::compileVersion(const std::string &Name,
                                          uint64_t Gen) {
   // Read after Gen: if Gen is still current at the insert below, this is
   // the hash of the source compiled, to save and share the object under.
-  std::optional<uint64_t> SrcHash = sourceHash(Name);
-  // Cross-session reuse: another session may already have compiled exactly
-  // this (source, signature, configuration). A hit clones the immutable
-  // code body into this engine's repository - zero compile work.
+  std::optional<uint64_t> SrcHash =
+      Queue.read(Name, [](const FnState &S) { return S.SrcHash; });
+  // Cross-session reuse: a hit on another session's compile of exactly this
+  // (source, signature, configuration) clones the immutable code body.
   std::string CacheKey;
   CompiledObjectPtr Cached;
   if (Opts.SharedCache && SrcHash) {
@@ -577,216 +470,18 @@ CompiledObjectPtr Engine::compileVersion(const std::string &Name,
     Inst.CompileSeconds->observe(Obj.CompileSeconds);
     Profiles.recordCompile(Name, Obj.CompileSeconds);
   }
-  CompiledObjectPtr Inserted;
-  {
-    // Publish only when the source generation is unchanged: an invalidate
-    // or reload while a background compile ran makes its object stale.
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (FnStates[Name].Generation != Gen)
-      return nullptr;
-    Repo.insert(std::move(Obj));
-    Inserted = Repo.lookup(Name, Sig);
-  }
-  // Queue the persist before a background compile's pending count drops:
-  // drainCompiles() + flushRepoStore() must find a compile or a save
-  // pending until the object is on disk. Fresh compiles (not cache-served
-  // ones) go to the sibling sessions too.
+  // Published only if a reload did not make the object stale meanwhile.
+  CompiledObjectPtr Inserted = Queue.publish(std::move(Obj), Gen);
+  // The save is queued before a background compile's ledger entry goes, so
+  // drainCompiles() + flushRepoStore() cover it. Fresh compiles (not
+  // cache-served ones) go to the sibling sessions too.
   if (Inserted) {
     if (SrcHash)
-      saveToStore(*Inserted, *SrcHash);
+      Persist.save(*Inserted, *SrcHash);
     if (!Cached && !CacheKey.empty())
       Opts.SharedCache->publish(CacheKey, Inserted, *SrcHash);
   }
   return Inserted;
-}
-
-//===----------------------------------------------------------------------===//
-// Background tasks (the ledger)
-//===----------------------------------------------------------------------===//
-
-template <typename Fn>
-bool Engine::enqueueTask(TaskKind Kind, const std::string &Name, Fn Body) {
-  if (!SpecPool || Draining)
-    return false;
-  // Enqueueing under SpecMutex (the established SpecMutex -> pool-mutex
-  // order; workers release the pool lock before running a task) makes the
-  // ledger race-free: the task's first act is to take SpecMutex and mark
-  // its own entry started, which is therefore in place before it looks.
-  uint64_t Seq = ++LastTaskSeq;
-  ThreadPool::TaskId Id;
-  try {
-    Id = SpecPool->enqueue([this, Seq, Body = std::move(Body)] {
-      auto Mine = [this, Seq] {
-        return std::find_if(Tasks.begin(), Tasks.end(),
-                            [Seq](const Task &T) { return T.Seq == Seq; });
-      };
-      {
-        std::lock_guard<std::mutex> L(SpecMutex);
-        Mine()->Started = true;
-      }
-      Body();
-      {
-        std::lock_guard<std::mutex> L(SpecMutex);
-        Tasks.erase(Mine());
-      }
-      SpecIdleCv.notify_all();
-    });
-  } catch (...) {
-    // Injected pool-enqueue fault: leave no bookkeeping behind, or a
-    // barrier would wait forever on a task that does not exist.
-    return false;
-  }
-  Tasks.push_back({Seq, Id, Kind, Name});
-  return true;
-}
-
-std::vector<Engine::Task>::const_iterator
-Engine::compileTask(const std::string &Name) const {
-  return std::find_if(Tasks.begin(), Tasks.end(), [&](const Task &T) {
-    return T.Kind == TaskKind::Compile && T.Name == Name;
-  });
-}
-
-bool Engine::tasksIdle(bool WithSaves) const {
-  return std::none_of(Tasks.begin(), Tasks.end(), [&](const Task &T) {
-    return WithSaves || T.Kind != TaskKind::Save;
-  });
-}
-
-//===----------------------------------------------------------------------===//
-// Persistent repository (warm start)
-//===----------------------------------------------------------------------===//
-
-void Engine::adoptWarmEntries(const std::string &Name, uint64_t SrcHash) {
-  auto It = Warm.find(Name);
-  if (!Store || It == Warm.end())
-    return;
-  // Each entry is offered once; the persisted signatures stay behind for
-  // later registrations and the profile summary.
-  for (RepoStore::Entry &E : std::exchange(It->second.Objects, {})) {
-    if (E.SourceHash != SrcHash) {
-      // The .m text changed since this was compiled: the final rung of
-      // the validation ladder fails, and the entry must not shadow the
-      // new source. Delete the file; the new source recompiles on demand.
-      Store->discardStale(E.Path);
-      continue;
-    }
-    try {
-      Repo.insert(std::move(E.Obj));
-      Store->noteAdopted();
-      Profiles.recordWarmAdoption(Name);
-      obs::traceInstant("warm.adopt", "repo", Name);
-    } catch (...) {
-      // An injected repo-insert fault while adopting costs one
-      // recompile; loading must never take the engine down.
-    }
-  }
-  // The native half of the warm start, independent of the .mjo half (a
-  // quarantined or deleted .mjo must not cost a cc run when the .so is
-  // intact): a validated .mjn whose source hash still matches dlopens
-  // straight into a Ready version - machine code with zero compiler
-  // invocations. Any loader refusal (injected fault, ABI drift the stamp
-  // missed) discards the file and the function simply stays on the VM
-  // until re-promoted. The dlopen runs before SpecMutex is taken.
-  for (RepoStore::NativeEntry &E : std::exchange(It->second.Natives, {})) {
-    if (E.SourceHash != SrcHash) {
-      Store->discardStale(E.Path);
-      continue;
-    }
-    try {
-      std::vector<uint8_t> So(E.SoBytes.begin(), E.SoBytes.end());
-      std::shared_ptr<native::NativeModule> Mod =
-          native::NativeCompiler::load(So, E.FunctionName, E.NumOuts);
-      std::lock_guard<std::mutex> L(SpecMutex);
-      FnStates[Name].Natives.emplace_back(
-          E.Sig, NativeVersion{NativeVersion::State::Ready, std::move(Mod)});
-      obs::traceInstant("warm.adopt_native", "native", Name);
-    } catch (...) {
-      NativeFailures.inc();
-      Store->discardStale(E.Path);
-    }
-  }
-}
-
-template <typename WriteFn>
-void Engine::writeUnlessErased(const std::string &Name, bool Native,
-                               WriteFn Write) {
-  auto Erased = [&] {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    const FnState *S = state(Name);
-    return S && S->Erased;
-  };
-  if (Erased())
-    return;
-  Write();
-  // Re-check after the write: handleRemovedSource sets the tombstone
-  // before erasing the files, so if we do not see it here, our file landed
-  // before the erase scanned the directory and the eraser removes it; if
-  // we do see it, the erase may have run first and missed the file, and
-  // we take it back out ourselves. Either way nothing survives.
-  if (Erased()) {
-    if (Native)
-      Store->eraseNative(Name);
-    else
-      Store->erase(Name);
-  }
-}
-
-void Engine::saveToStore(const CompiledObject &Obj, uint64_t SrcHash) {
-  if (!Store || !Obj.Code)
-    return;
-  // Clone for the task: the repository keeps the original. The IR itself
-  // is shared.
-  auto Clone = std::make_shared<CompiledObject>(Obj.clone());
-  auto Save = [this, Clone, SrcHash] {
-    writeUnlessErased(Clone->FunctionName, /*Native=*/false,
-                      [&] { Store->save(*Clone, SrcHash); });
-  };
-  {
-    // Persisting rides the idle-priority pool like speculative compiles:
-    // the interactive thread never waits for the disk. While draining
-    // (shutdown) the ledger refuses, and the save runs synchronously
-    // instead of onto a pool that is mid-teardown (owned) or possibly
-    // paused (shared).
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (enqueueTask(TaskKind::Save, Clone->FunctionName, Save))
-      return;
-  }
-  Save();
-}
-
-std::optional<uint64_t> Engine::sourceHash(const std::string &Name) const {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  const FnState *S = state(Name);
-  return S ? S->SrcHash : std::nullopt;
-}
-
-const Engine::FnState *Engine::state(const std::string &Name) const {
-  auto It = FnStates.find(Name);
-  return It == FnStates.end() ? nullptr : &It->second;
-}
-
-void Engine::flushRepoStore() {
-  // A compile still in flight may yet queue a save, so wait out both.
-  // Native compile tasks save their .so inline, so they count too.
-  std::unique_lock<std::mutex> L(SpecMutex);
-  SpecIdleCv.wait(L, [this] { return tasksIdle(/*WithSaves=*/true); });
-}
-
-RepoStoreStats Engine::repoStoreStats() const {
-  RepoStoreStats S = Store ? Store->stats() : RepoStoreStats();
-  if (OwnedProfileStore) {
-    // The profile file lives in its own store instance; fold its counters
-    // in so one snapshot covers both directories.
-    RepoStoreStats P = OwnedProfileStore->stats();
-    S.ProfilesSaved += P.ProfilesSaved;
-    S.ProfileSaveFailures += P.ProfileSaveFailures;
-    S.ProfilesLoaded += P.ProfilesLoaded;
-    S.ProfilesQuarantined += P.ProfilesQuarantined;
-    S.ProfilesSkewed += P.ProfilesSkewed;
-    S.SweptTemps += P.SweptTemps;
-  }
-  return S;
 }
 
 void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
@@ -801,16 +496,12 @@ void Engine::handleRemovedSource(const SourceSnooper::Change &C) {
     Names.push_back(C.FunctionName);
   }
   for (const std::string &Fn : Names) {
-    // A generation without source: the same teardown as a reload, plus
-    // the tombstone, set before the files are erased so a save queued
-    // before this removal cannot recreate them. The function stops
-    // resolving, and nothing read from disk for it is adopted later (a
-    // deleted source must not resurrect on the next warm start).
-    startGeneration(Fn, std::nullopt);
+    // A generation without source: a reload's teardown plus the tombstone,
+    // set before the files are erased so a queued save cannot recreate
+    // them.
+    Queue.startGeneration(Fn, std::nullopt);
     Functions.erase(Fn);
-    Warm.erase(Fn);
-    if (Store)
-      Store->erase(Fn);
+    Persist.forget(Fn);
   }
 }
 
@@ -835,183 +526,39 @@ bool Engine::precompileSpeculative(const std::string &Name) {
 
 bool Engine::speculateAsync(const std::string &Name,
                             const TypeSignature *SigOverride) {
-  if (!SpecPool)
+  if (!Queue.hasPool())
     return false;
-  // The analysis view is built here, on the engine's thread (it mutates
-  // the LoadedFunction); speculative inference and the compile pipeline -
-  // both pure over the FunctionInfo - run on the worker, keeping the
-  // interactive thread's share of the request to parse + disambiguate.
+  // The analysis view is built here, on the engine's thread (it mutates the
+  // LoadedFunction); inference and the compile pipeline, both pure over
+  // the FunctionInfo, run on the worker.
   LoadedFunction *LF = compilable(Name);
   if (!LF)
     return false;
   std::shared_ptr<const FunctionInfo> FI = compileView(*LF);
+  // Pins the inlined clone FI points into while the worker holds the task.
   std::shared_ptr<const Function> KeepAlive = LF->InlinedF;
   std::optional<TypeSignature> Forced =
       SigOverride ? std::optional(*SigOverride) : std::nullopt;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (Draining)
-      return false;
-    if (compileTask(Name) != Tasks.end()) {
-      Spec.DedupedRequests.inc();
-      return false;
-    }
-    uint64_t Gen = FnStates[Name].Generation;
-    // Count the request only once the pool accepted it (an injected
-    // pool-enqueue fault leaves no bookkeeping behind).
-    if (!enqueueTask(TaskKind::Compile, Name,
-                     [this, Name, FI, KeepAlive, Gen, Forced] {
-                       backgroundCompile(Name, FI, KeepAlive, Gen, Forced);
-                     })) {
-      Spec.Failed.inc();
+  // No exception may escape into the pool; it quarantines only the
+  // generation compiled, so a source reloaded meanwhile keeps its chance.
+  auto Body = [this, Name, FI, KeepAlive, Forced](uint64_t Gen) {
+    (void)KeepAlive;
+    try {
+      TypeSignature Sig =
+          speculationSignature(Name, *FI, Forced ? &*Forced : nullptr);
+      return compileVersion(Name, *FI, Sig, CodeGenMode::Optimized,
+                            /*Optimistic=*/true,
+                            CompiledObject::Origin::Speculative,
+                            Gen) != nullptr;
+    } catch (...) {
+      Queue.noteCompileFailure(Name, Gen);
       return false;
     }
-    Spec.Queued.inc();
-  }
+  };
+  if (!Queue.enqueueCompile(Name, std::move(Body)))
+    return false;
   obs::traceInstant("speculate.queue", "engine", Name);
   return true;
-}
-
-bool Engine::promoteSpeculation(const std::string &Name) {
-  if (!SpecPool)
-    return false;
-  std::lock_guard<std::mutex> L(SpecMutex);
-  auto Found = compileTask(Name);
-  // The pool may have handed the task to a worker that hasn't marked its
-  // ledger entry yet; promote() refuses once the task left the queue.
-  if (Found == Tasks.cend() || Found->Started ||
-      !SpecPool->promote(Found->PoolId))
-    return false;
-  auto It = Tasks.begin() + (Found - Tasks.cbegin());
-  std::rotate(Tasks.begin(), It, std::next(It));
-  Spec.Promoted.inc();
-  return true;
-}
-
-void Engine::pauseBackgroundCompiles() {
-  // Owned pool only: pausing a shared pool would stall every other
-  // session's background work, and no session may have that power.
-  if (OwnedSpecPool)
-    OwnedSpecPool->setPaused(true);
-}
-
-void Engine::resumeBackgroundCompiles() {
-  if (OwnedSpecPool)
-    OwnedSpecPool->setPaused(false);
-}
-
-std::vector<std::string> Engine::queuedSpeculations() const {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  std::vector<std::string> Out;
-  for (const Task &T : Tasks)
-    if (T.Kind == TaskKind::Compile && !T.Started)
-      Out.push_back(T.Name);
-  return Out;
-}
-
-void Engine::backgroundCompile(std::string Name,
-                               std::shared_ptr<const FunctionInfo> FI,
-                               std::shared_ptr<const Function> KeepAlive,
-                               uint64_t Gen,
-                               std::optional<TypeSignature> Forced) {
-  // KeepAlive pins the inlined clone FI's nodes point into; reloading the
-  // function on the main thread must not pull it out from under us.
-  (void)KeepAlive;
-  Timer Total;
-  // A worker exception must never escape into the pool (it would be
-  // swallowed there, silently losing the bookkeeping below); convert it
-  // into a Failed + quarantine record instead.
-  CompiledObjectPtr Published;
-  try {
-    TypeSignature Sig =
-        speculationSignature(Name, *FI, Forced ? &*Forced : nullptr);
-    Published = compileVersion(Name, *FI, Sig, CodeGenMode::Optimized,
-                               /*Optimistic=*/true,
-                               CompiledObject::Origin::Speculative, Gen);
-  } catch (...) {
-    // Quarantined only against the generation we compiled: if the source
-    // was reloaded meanwhile, the fresh source keeps its chance to compile.
-    noteCompileFailure(Name, Gen);
-  }
-  std::lock_guard<std::mutex> L(SpecMutex);
-  SpecBackgroundSeconds += Total.seconds();
-  if (Published)
-    Spec.Completed.inc();
-  else
-    Spec.Dropped.inc(); // failed, declined, or stale
-}
-
-void Engine::drainCompiles() {
-  // Native compiles count as compiles: tests that drain before asserting
-  // on tier state must not race the background cc invocation.
-  std::unique_lock<std::mutex> L(SpecMutex);
-  SpecIdleCv.wait(L, [this] { return tasksIdle(/*WithSaves=*/false); });
-}
-
-bool Engine::speculationInFlight(const std::string &Name) const {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  return compileTask(Name) != Tasks.end();
-}
-
-SpeculationStats Engine::speculationStats() const {
-  SpeculationStats S;
-  S.Queued = Spec.Queued.value();
-  S.Completed = Spec.Completed.value();
-  S.Dropped = Spec.Dropped.value();
-  S.DedupedRequests = Spec.DedupedRequests.value();
-  S.InFlightInterpreted = Spec.InFlightInterpreted.value();
-  S.Promoted = Spec.Promoted.value();
-  S.Failed = Spec.Failed.value();
-  std::lock_guard<std::mutex> L(SpecMutex);
-  S.BackgroundCompileSeconds = SpecBackgroundSeconds;
-  S.TimeToFirstResultSeconds = TimeToFirstResultSeconds;
-  return S;
-}
-
-void Engine::startGeneration(const std::string &Name,
-                             std::optional<uint64_t> SrcHash) {
-  // Unloaded after SpecMutex is released: dropping the last handle on a
-  // module dlcloses it.
-  std::vector<std::pair<TypeSignature, NativeVersion>> Retired;
-  // One update under the lock the workers publish under: a worker
-  // finishing now either sees the new generation (and drops its result)
-  // or published before it (and its code is dropped here).
-  std::lock_guard<std::mutex> L(SpecMutex);
-  FnState &S = FnStates[Name];
-  ++S.Generation;
-  // New source gets a fresh chance: the quarantine recorded a crash of the
-  // old generation's compile.
-  S.Quarantined = false;
-  Repo.invalidate(Name);
-  // Native versions compiled from the old source must not serve the new
-  // one. Warm .mjn entries are left alone: they carry the source hash
-  // they were compiled from, and adoption discards the stale ones itself.
-  Retired.swap(S.Natives);
-  S.SrcHash = SrcHash;
-  S.Erased = !SrcHash && Store;
-  // A deleted function must not keep steering speculation either.
-  if (!SrcHash)
-    S.ObservedSig.reset();
-}
-
-void Engine::noteCompileFailure(const std::string &Name, uint64_t Gen) {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  Spec.Failed.inc();
-  FnState &S = FnStates[Name];
-  if (S.Generation == Gen)
-    S.Quarantined = true;
-}
-
-bool Engine::isQuarantined(const std::string &Name) const {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  const FnState *S = state(Name);
-  return S && S->Quarantined;
-}
-
-size_t Engine::quarantineCount() const {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  return std::count_if(FnStates.begin(), FnStates.end(),
-                       [](const auto &KV) { return KV.second.Quarantined; });
 }
 
 void Engine::requestInterrupt() {
@@ -1026,14 +573,6 @@ void Engine::clearInterrupt() {
     IntrToken.clear();
   else
     exec::clearInterrupt();
-}
-
-void Engine::recordFirstResult() {
-  if (CallDepth != 1)
-    return;
-  std::lock_guard<std::mutex> L(SpecMutex);
-  if (TimeToFirstResultSeconds < 0)
-    TimeToFirstResultSeconds = BirthTimer.seconds();
 }
 
 bool Engine::precompileGeneric(const std::string &Name, size_t Arity) {
@@ -1073,125 +612,21 @@ const std::string &Engine::observeSignature(LoadedFunction &LF,
     size_t Idx = static_cast<size_t>(O - LF.Obs.begin());
     LF.BestCount = O->Count;
     if (Idx != LF.BestIdx) {
-      // A different signature overtook the best: publish it for the
-      // workers. Same-signature bumps skip this, so the steady state pays
-      // no extra locking.
+      // A different signature overtook the best: publish it. Same-signature
+      // bumps skip this, so the steady state takes no lock.
       LF.BestIdx = Idx;
-      std::lock_guard<std::mutex> L(SpecMutex);
-      FnStates[LF.F->name()].ObservedSig = O->Sig;
+      Queue.setObservedSignature(LF.F->name(), O->Sig);
     }
   }
   return O->Str;
 }
 
-bool Engine::observedSignatureFor(const std::string &Name, size_t Arity,
-                                  TypeSignature &Out) const {
-  std::lock_guard<std::mutex> L(SpecMutex);
-  const FnState *S = state(Name);
-  if (!S || !S->ObservedSig || S->ObservedSig->size() != Arity)
-    return false;
-  Out = *S->ObservedSig;
-  return true;
-}
-
-void Engine::seedObservedSignatures(const std::string &Name,
-                                    LoadedFunction &LF) {
-  auto It = Warm.find(Name);
-  if (It == Warm.end() || LF.F->isScript())
-    return;
-  size_t Arity = LF.F->params().size();
-  for (const RepoStore::ProfileSig &PS : It->second.Sigs) {
-    // Persisted signatures whose arity drifted from the live source are
-    // stale; dropping them here means they can never win best-observed.
-    if (PS.Sig.size() != Arity ||
-        LF.Obs.size() >= obs::FunctionProfiles::kMaxSignatures)
-      continue;
-    LF.Obs.push_back({PS.Sig, PS.SigStr, PS.Count});
-    if (PS.Count > LF.BestCount) {
-      LF.BestCount = PS.Count;
-      LF.BestIdx = LF.Obs.size() - 1;
-    }
-  }
-  if (LF.BestIdx != SIZE_MAX) {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    FnStates[Name].ObservedSig = LF.Obs[LF.BestIdx].Sig;
-  }
-}
-
-void Engine::saveProfilesToStore() {
-  if (!ProfileStore)
-    return;
-  // Compose the persisted summaries from the profile layer's counts (live
-  // plus what was merged at startup) and the engine-side signature caches,
-  // which hold the TypeSignature for each rendered string. Untyped
-  // invocations (scripts, InterpretOnly) carry counts but no signature.
-  std::vector<RepoStore::ProfileSummary> Out;
-  for (obs::FunctionProfile &P : Profiles.snapshot()) {
-    RepoStore::ProfileSummary S;
-    S.Name = P.Name;
-    S.Invocations = P.Invocations;
-    S.OtherSignatures = P.OtherSignatures;
-    const LoadedFunction *LF = find(P.Name);
-    auto WarmIt = Warm.find(P.Name);
-    for (const auto &[Str, Count] : P.ArgSignatures) {
-      if (Str == UntypedSig)
-        continue;
-      TypeSignature Sig;
-      bool Found = false;
-      if (LF)
-        for (const LoadedFunction::SigObs &O : LF->Obs)
-          if (O.Str == Str) {
-            Sig = O.Sig;
-            Found = true;
-            break;
-          }
-      if (!Found && WarmIt != Warm.end())
-        for (const RepoStore::ProfileSig &PS : WarmIt->second.Sigs)
-          if (PS.SigStr == Str) {
-            Sig = PS.Sig;
-            Found = true;
-            break;
-          }
-      if (Found && S.Sigs.size() < RepoStore::kProfileTopK)
-        S.Sigs.push_back({Sig, Str, Count});
-    }
-    if (S.Invocations == 0 && S.Sigs.empty())
-      continue;
-    Out.push_back(std::move(S));
-  }
-  ProfileStore->saveProfiles(Out);
-}
-
 obs::MetricsSnapshot Engine::sampleMetrics() {
-  // Point-in-time levels live in their components; mirror them into
-  // gauges at snapshot time instead of threading writes through the hot
-  // paths.
-  RepoStoreStats SS = repoStoreStats();
-  Metrics.gauge("repo.store.saved").set(int64_t(SS.Saved));
-  Metrics.gauge("repo.store.save_failures").set(int64_t(SS.SaveFailures));
-  Metrics.gauge("repo.store.loaded").set(int64_t(SS.Loaded));
-  Metrics.gauge("repo.store.quarantined").set(int64_t(SS.Quarantined));
-  Metrics.gauge("repo.store.skewed").set(int64_t(SS.Skewed));
-  Metrics.gauge("repo.store.stale_source").set(int64_t(SS.StaleSource));
-  Metrics.gauge("repo.store.adopted").set(int64_t(SS.Adopted));
-  Metrics.gauge("repo.store.swept_temps").set(int64_t(SS.SweptTemps));
-  Metrics.gauge("repo.store.profiles_saved").set(int64_t(SS.ProfilesSaved));
-  Metrics.gauge("repo.store.profile_save_failures")
-      .set(int64_t(SS.ProfileSaveFailures));
-  Metrics.gauge("repo.store.profiles_loaded").set(int64_t(SS.ProfilesLoaded));
-  Metrics.gauge("repo.store.profiles_quarantined")
-      .set(int64_t(SS.ProfilesQuarantined));
-  Metrics.gauge("repo.store.profiles_skewed").set(int64_t(SS.ProfilesSkewed));
-  Metrics.gauge("repo.store.native_saved").set(int64_t(SS.NativeSaved));
-  Metrics.gauge("repo.store.native_save_failures")
-      .set(int64_t(SS.NativeSaveFailures));
-  Metrics.gauge("repo.store.native_loaded").set(int64_t(SS.NativeLoaded));
-  Metrics.gauge("repo.store.native_quarantined")
-      .set(int64_t(SS.NativeQuarantined));
-  Metrics.gauge("repo.store.native_skewed").set(int64_t(SS.NativeSkewed));
-  Metrics.gauge("repo.store.native_untrusted").set(int64_t(SS.NativeUntrusted));
+  // Point-in-time levels live in their components; mirror them into gauges
+  // here instead of threading writes through the hot paths.
+  Persist.sampleGauges(Metrics);
   Metrics.gauge("repo.objects").set(int64_t(Repo.totalObjects()));
-  Metrics.gauge("engine.quarantined").set(int64_t(quarantineCount()));
+  Metrics.gauge("engine.quarantined").set(int64_t(Queue.quarantineCount()));
   par::ComputePoolSample CP = par::sampleComputePool();
   Metrics.gauge("pool.compute.threads").set(int64_t(CP.Threads));
   Metrics.gauge("pool.compute.enqueued").set(int64_t(CP.TasksEnqueued));
@@ -1226,7 +661,6 @@ std::string Engine::metricsJson() {
   Out += "}";
   return Out;
 }
-
 
 //===----------------------------------------------------------------------===//
 // Invocation
@@ -1275,7 +709,8 @@ std::vector<ValuePtr> Engine::callFunction(const std::string &Name,
     throw MatlabError("maximum recursion depth exceeded", Loc);
   InvocationScope Scope(*this);
   std::vector<ValuePtr> R = runTiers(*LF, Args, NumOuts);
-  recordFirstResult();
+  if (CallDepth == 1)
+    Queue.recordFirstResult();
   return R;
 }
 
@@ -1293,17 +728,15 @@ CompiledObjectPtr Engine::versionFor(LoadedFunction &LF,
     LF.SigMissStreak = 0;
     return Obj;
   }
-  if (Opts.Policy == CompilePolicy::Speculative && speculationInFlight(Name)) {
-    // A background compile of this function is still in flight: interpret
-    // this one invocation instead of duplicating the compiler's work on
-    // the hot path; the next call picks up the published object. An actual
-    // invocation is the strongest priority signal we have, so if the
-    // compile is still sitting in the queue, move it to the front - the
-    // snooper enqueues in discovery order, not in the order the user ends
-    // up calling things.
-    promoteSpeculation(Name);
+  if (Opts.Policy == CompilePolicy::Speculative && Queue.inFlight(Name)) {
+    // A background compile of this function is in flight: interpret this
+    // invocation rather than duplicate the compiler's work; the next call
+    // picks up the published object. An actual call is the strongest
+    // priority signal there is, so a still-queued compile moves to the
+    // front (the snooper enqueues in discovery order).
+    Queue.promote(Name);
     InterpFallbacks.inc();
-    Spec.InFlightInterpreted.inc();
+    Queue.Spec.InFlightInterpreted.inc();
     return nullptr;
   }
   // Miss: compile according to policy. When a version with the same
@@ -1315,13 +748,11 @@ CompiledObjectPtr Engine::versionFor(LoadedFunction &LF,
       Sig.safeFor(General))
     CompileSig = General;
 
-  // Repeated misses against existing compiled versions mean speculation
-  // guessed wrong for what the user actually calls: re-speculate on the
-  // newly observed signature (once per distinct signature, so a stable
-  // pattern does not churn the background queue). The JIT below still
-  // serves this invocation; the background compile upgrades the hot
-  // signature to optimized code.
-  if (Opts.Policy == CompilePolicy::Speculative && SpecPool &&
+  // Repeated misses against existing versions mean speculation guessed
+  // wrong: re-speculate on the observed signature (once per distinct one,
+  // so a stable pattern does not churn the queue). The JIT below still
+  // serves this call; the background compile upgrades it to optimized code.
+  if (Opts.Policy == CompilePolicy::Speculative && Queue.hasPool() &&
       Repo.versionCount(Name) != 0 &&
       ++LF.SigMissStreak >= kRespeculateMissStreak &&
       (!LF.RespecValid || !(LF.RespecSig == CompileSig))) {
@@ -1437,42 +868,34 @@ CompiledObjectPtr Engine::deoptimize(const CompiledObject &Obj) {
   Deopts.inc();
   Profiles.recordDeopt(Obj.FunctionName);
   obs::traceInstant("deopt", "engine", Obj.FunctionName);
-  // Repeated deopts say the speculated types were wrong for the live
-  // call pattern. When the observed signature differs from the one that
-  // deopted, queue an optimized recompile for it; same-signature deopts
-  // are already handled by the pessimistic replacement (and must not be
-  // re-speculated optimistically, which would just deopt again).
-  if (Opts.Policy == CompilePolicy::Speculative && SpecPool) {
+  // Repeated deopts say the speculated types were wrong. When the observed
+  // signature differs from the one that deopted, queue an optimized
+  // recompile for it; same-signature deopts get the pessimistic
+  // replacement (optimistic code would just deopt again).
+  if (Opts.Policy == CompilePolicy::Speculative && Queue.hasPool()) {
     if (LoadedFunction *LF = find(Obj.FunctionName))
       if (++LF->DeoptCount == kRespeculateDeopts) {
-        TypeSignature Observed;
-        if (observedSignatureFor(Obj.FunctionName, Obj.Sig.size(),
-                                 Observed) &&
-            !(Observed == Obj.Sig))
-          speculateAsync(Obj.FunctionName, &Observed);
+        std::optional<TypeSignature> Observed =
+            Queue.read(Obj.FunctionName, [&](const FnState &S) {
+              return S.observed(Obj.Sig.size());
+            });
+        if (Observed && !(*Observed == Obj.Sig))
+          speculateAsync(Obj.FunctionName, &*Observed);
       }
   }
   return compileAndInsert(Obj.FunctionName, Obj.Sig, Obj.Mode, Obj.From,
                           /*Optimistic=*/false);
 }
 
-bool Engine::knowsFunction(const std::string &Name) {
-  return Functions.count(Name) != 0;
-}
-
-std::vector<ValuePtr> Engine::NativeHostBridge::callFunction(
-    const std::string &Name, std::vector<ValuePtr> Args, size_t NumOuts) {
-  return E->callFunction(Name, std::move(Args), NumOuts, SourceLoc());
-}
-
 std::shared_ptr<native::NativeModule>
 Engine::nativeModuleFor(const CompiledObject &Obj) {
   const std::string &Name = Obj.FunctionName;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (NativeVersion *NV = FnStates[Name].native(Obj.Sig))
-      return NV->ready();
-  }
+  auto Version = [&] {
+    return Queue.read(Name,
+                      [&](const FnState &S) { return S.nativeModule(Obj.Sig); });
+  };
+  if (auto Mod = Version())
+    return *Mod;
   if (!NativeComp->available())
     return nullptr;
   // Promotion is profile-guided: the function must have earned the
@@ -1480,33 +903,20 @@ Engine::nativeModuleFor(const CompiledObject &Obj) {
   // sessions, so a warm start re-promotes immediately).
   if (Profiles.invocations(Name) < Opts.NativeHotThreshold)
     return nullptr;
-  uint64_t Gen;
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (Draining)
-      return nullptr;
-    // Only this thread adds versions, so Sig is still absent: it waits
-    // Pending for the build queued at this generation.
-    FnState &S = FnStates[Name];
-    S.Natives.emplace_back(Obj.Sig, NativeVersion());
-    Gen = S.Generation;
-    // Compile off-thread when a pool exists: the invocation that crossed
-    // the threshold still runs on the VM while cc works in the
-    // background (the paper's "the user never waits", applied to a
-    // compiler we do not control).
-    if (enqueueTask(TaskKind::Native, Name,
-                    [this, Name, Sig = Obj.Sig, Code = Obj.Code, Gen] {
-                      buildNative(Name, Sig, Code, Gen);
-                    }))
-      return nullptr;
-  }
-  buildNative(Name, Obj.Sig, Obj.Code, Gen);
-  std::lock_guard<std::mutex> L(SpecMutex);
-  return FnStates[Name].native(Obj.Sig)->ready();
+  // Off-thread when a pool exists: the call that crossed the threshold runs
+  // on the VM while cc works ("the user never waits"). Else build here.
+  std::optional<uint64_t> Gen = Queue.enqueueNative(
+      Name, Obj.Sig, [this, Name, Sig = Obj.Sig, Code = Obj.Code](uint64_t G) {
+        buildNative(Name, Sig, Code, G);
+      });
+  if (!Gen)
+    return nullptr;
+  buildNative(Name, Obj.Sig, Obj.Code, *Gen);
+  return Version().value_or(nullptr);
 }
 
 void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
-                         std::shared_ptr<const IRFunction> Code,
+                         const std::shared_ptr<const IRFunction> &Code,
                          uint64_t Gen) {
   std::shared_ptr<native::NativeModule> Mod;
   std::vector<uint8_t> So;
@@ -1515,56 +925,23 @@ void Engine::buildNative(const std::string &Name, const TypeSignature &Sig,
     So = NativeComp->compile(CSource, Name);
     Mod = native::NativeCompiler::load(So, Name, Code->NumOuts);
   } catch (...) {
-    // Compiler crash, timeout, -Werror rejection, loader refusal,
-    // injected fault: the version pins to the VM tier, and the engine
-    // does not retry until the source changes. The native tier must
-    // never take the engine down or change observable results.
+    // Compiler crash, timeout, -Werror rejection, loader refusal, injected
+    // fault: the version pins to the VM until the source changes. The
+    // tier must never take the engine down or change observable results.
     NativeFailures.inc();
     obs::traceInstant("native.fail", "native", Name);
-    std::lock_guard<std::mutex> L(SpecMutex);
-    FnState &S = FnStates[Name];
-    if (S.Generation == Gen)
-      S.native(Sig)->St = NativeVersion::State::Failed;
+    Queue.setNative(Name, Sig, {NativeVersion::State::Failed, nullptr}, Gen);
     return;
   }
   NativeCompiles.inc();
   obs::traceInstant("native.promote", "native", Name);
   uint32_t NumOuts = static_cast<uint32_t>(Mod->numOuts());
-  std::optional<uint64_t> SrcHash;
-  {
-    // Publish, and read the hash to save under, only when the source
-    // generation is unchanged: a reload while cc ran makes this machine
-    // code stale, and it must neither serve nor persist under the new
-    // source's hash.
-    std::lock_guard<std::mutex> L(SpecMutex);
-    FnState &S = FnStates[Name];
-    if (S.Generation != Gen)
-      return;
-    *S.native(Sig) = {NativeVersion::State::Ready, std::move(Mod)};
-    SrcHash = S.SrcHash;
-  }
-  // Persist the .so beside the .mjo so the next session warm-starts into
-  // machine code with zero compiler invocations.
-  if (!Store || !SrcHash)
-    return;
-  writeUnlessErased(Name, /*Native=*/true, [&] {
-    Store->saveNative(Name, Sig, NumOuts, std::string(So.begin(), So.end()),
-                      *SrcHash);
-  });
-}
-
-void Engine::quarantineNative(const std::string &Name,
-                              const TypeSignature &Sig) {
-  {
-    std::lock_guard<std::mutex> L(SpecMutex);
-    if (NativeVersion *NV = FnStates[Name].native(Sig))
-      *NV = {NativeVersion::State::Failed, nullptr};
-  }
-  // Drop the on-disk entries too: code that failed at run time must not
-  // resurrect on the next warm start.
-  if (Store)
-    Store->eraseNative(Name);
-  obs::traceInstant("native.quarantine", "native", Name);
+  // Published and persisted (under the hash read with it) only if no reload
+  // made this machine code stale while cc ran. The saved .so lets the next
+  // session warm-start into machine code with zero compiler runs.
+  if (std::optional<uint64_t> SrcHash = Queue.setNative(
+          Name, Sig, {NativeVersion::State::Ready, std::move(Mod)}, Gen))
+    Persist.saveNative(Name, Sig, NumOuts, So, *SrcHash);
 }
 
 bool Engine::runNativeTier(const CompiledObject &Obj,
@@ -1600,7 +977,12 @@ bool Engine::runNativeTier(const CompiledObject &Obj,
     // the engine down.
     NativeFailures.inc();
   }
-  quarantineNative(Obj.FunctionName, Obj.Sig);
+  // The version pins to the VM, and its on-disk entries go too: code that
+  // failed at run time must not resurrect on the next warm start.
+  Queue.setNative(Obj.FunctionName, Obj.Sig,
+                  {NativeVersion::State::Failed, nullptr});
+  Persist.eraseNative(Obj.FunctionName);
+  obs::traceInstant("native.quarantine", "native", Obj.FunctionName);
   return false;
 }
 
@@ -1667,7 +1049,8 @@ std::string Engine::runScript(const std::string &Source) {
     // from here) spends its budget.
     InvocationScope Scope(*this);
     Interp->runScript(*Script, Slots);
-    recordFirstResult();
+    if (CallDepth == 1)
+      Queue.recordFirstResult();
   } catch (const MatlabError &E) {
     Ctx.print("??? " + E.message() + "\n");
   }

@@ -29,24 +29,17 @@
 #include "ast/Parser.h"
 #include "backend/Compiler.h"
 #include "backend/VM.h"
+#include "engine/CompileQueue.h"
+#include "engine/Persistence.h"
 #include "interp/Interpreter.h"
-#include "native/NativeCompiler.h"
 #include "native/NativeRuntime.h"
-#include "obs/Metrics.h"
-#include "obs/Profile.h"
-#include "repo/RepoStore.h"
-#include "repo/Repository.h"
 #include "repo/SharedCache.h"
 #include "repo/Snooper.h"
 #include "runtime/ValueSerialize.h"
 #include "support/ResourceGuard.h"
-#include "support/ThreadPool.h"
-#include "support/Timer.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -95,9 +88,7 @@ struct EngineOptions {
   bool InlineCalls = true;
   /// Fuse elementwise expression trees into single-pass loops (one loop,
   /// one memory pass, zero intermediate temporaries). Results stay
-  /// bit-identical to the unfused interpreter. The MAJIC_NO_FUSION
-  /// environment variable (any non-empty value) forces this off, for
-  /// A/B measurement without recompiling the embedder.
+  /// bit-identical to the unfused interpreter.
   bool FuseElementwise = true;
   uint64_t RandSeed = 0x9e3779b97f4a7c15ull;
   /// Third execution tier above the register VM: hot compiled functions
@@ -114,8 +105,7 @@ struct EngineOptions {
   std::string NativeCC;
   /// Recorded invocations of a function (FunctionProfiles counts,
   /// including counts persisted from previous sessions) before a compiled
-  /// version is promoted to the native tier. The MAJIC_NATIVE_HOT
-  /// environment variable (a positive integer) overrides.
+  /// version is promoted to the native tier.
   unsigned NativeHotThreshold = 3;
   /// C-stack protection for recursive MATLAB programs.
   unsigned MaxCallDepth = 4000;
@@ -188,42 +178,16 @@ struct EngineOptions {
   std::string MetricsPath;
 };
 
-/// Responsiveness counters for the background speculation subsystem.
-struct SpeculationStats {
-  uint64_t Queued = 0;    ///< tasks handed to the worker pool
-  uint64_t Completed = 0; ///< tasks whose object was published
-  uint64_t Dropped = 0;   ///< tasks discarded (compile failed or source
-                          ///< invalidated while the compile was in flight)
-  uint64_t DedupedRequests = 0;   ///< requests already in flight
-  uint64_t InFlightInterpreted = 0; ///< invocations interpreted because a
-                                    ///< compile for the function was still
-                                    ///< in flight
-  uint64_t Promoted = 0; ///< queued compiles moved to the front because an
-                         ///< invocation was waiting on them
-  uint64_t Failed = 0;   ///< compiles that raised an exception (including
-                         ///< injected faults); the function is quarantined
-                         ///< until its source changes
-  /// Seconds of compilation performed off the caller's thread.
-  double BackgroundCompileSeconds = 0;
-  /// Seconds from engine construction to the first completed top-level
-  /// invocation (negative until one completes). The paper's responsiveness
-  /// claim is that this stays near the interpreted cost even when total
-  /// compile seconds are large.
-  double TimeToFirstResultSeconds = -1;
-};
-
 class Engine : public CallResolver {
 public:
   explicit Engine(EngineOptions Opts = EngineOptions());
   ~Engine() override;
 
-  /// Quiesces the engine: drains or cancels this engine's background work
-  /// (owned pool: drain and join; shared pool: cancel queued tasks, wait
-  /// out running ones - never blocking on other sessions' work), persists
-  /// profiles, writes the final observability dumps, and lifts any
-  /// process-wide limit this engine installed. Idempotent; the destructor
-  /// calls it. After shutdown the engine serves no further invocations'
-  /// speculation (synchronous execution still works).
+  /// Quiesces the engine: drains or cancels its background work (never
+  /// blocking on other sessions' work on a shared pool), persists profiles,
+  /// writes the final observability dumps, and lifts any process-wide limit
+  /// it installed. Idempotent; the destructor calls it. Afterwards nothing
+  /// runs in the background (synchronous execution still works).
   void shutdown();
 
   /// Hash of the codegen-relevant options: two engines whose hashes match
@@ -244,8 +208,8 @@ public:
   /// Loads one .m file.
   bool loadFile(const std::string &Path);
 
-  /// Watches a directory of .m files; scan() picks them up.
-  void watchDirectory(const std::string &Dir);
+  /// Watches a directory of .m files; snoop() picks them up.
+  void watchDirectory(const std::string &Dir) { Snooper.watchDirectory(Dir); }
 
   /// Scans watched directories: loads new/changed files and, under the
   /// Speculative policy, compiles them ahead of time.
@@ -260,7 +224,9 @@ public:
                                      std::vector<ValuePtr> Args,
                                      size_t NumOuts, SourceLoc Loc) override;
 
-  bool knowsFunction(const std::string &Name) override;
+  bool knowsFunction(const std::string &Name) override {
+    return Functions.count(Name) != 0;
+  }
 
   /// Runs \p Source as a script in the persistent interactive workspace,
   /// returning what it printed. Scripts are interpreted (the front end);
@@ -298,47 +264,45 @@ public:
   /// explicitly).
   bool precompileSpeculative(const std::string &Name);
 
-  /// Queues a speculative compilation of \p Name on the background worker
-  /// pool; returns false when the function cannot be compiled, a compile
-  /// for it is already in flight, or no pool is configured (in which case
-  /// the caller should use precompileSpeculative). The worker prefers the
-  /// most-called observed signature over the backward-hint guess (pass
-  /// \p SigOverride to force one, e.g. re-speculation after repeated
-  /// deopts or repository misses). The compiled object is published to
-  /// the repository when the worker finishes; use drainCompiles() to wait
-  /// for that deterministically.
+  /// Queues a speculative compilation of \p Name on the background pool;
+  /// false when the function cannot be compiled, a compile for it is in
+  /// flight, or no pool is configured (use precompileSpeculative then).
+  /// The worker prefers the most-called observed signature over the hint
+  /// guess; \p SigOverride forces one (re-speculation after deopts or
+  /// misses). drainCompiles() waits for the result to be published.
   bool speculateAsync(const std::string &Name,
                       const TypeSignature *SigOverride = nullptr);
 
-  /// Blocks until every queued background compilation has been published
-  /// or dropped. Tests and benchmarks use this for determinism.
-  void drainCompiles();
+  /// Blocks until every queued compile and native build has been published
+  /// or dropped (saves may still be queued). Tests rely on it.
+  void drainCompiles() { Queue.drain(/*WithSaves=*/false); }
 
   /// True when a background compile of \p Name is queued or running.
-  bool speculationInFlight(const std::string &Name) const;
+  bool speculationInFlight(const std::string &Name) const {
+    return Queue.inFlight(Name);
+  }
 
-  /// Moves \p Name's still-queued speculative compile to the front of the
-  /// compile queue (ROADMAP "compile-priority heuristics": an invocation
-  /// that misses on a queued function is evidence the user wants it next,
-  /// so it should not wait behind the snooper's FIFO backlog). Returns
-  /// false when no compile of \p Name is queued - including when one is
-  /// already running, which needs no help.
-  bool promoteSpeculation(const std::string &Name);
+  /// Moves \p Name's still-queued speculative compile to the front: an
+  /// invocation that misses on it says the user wants it next. False when
+  /// no compile of \p Name is queued, including when one is running.
+  bool promoteSpeculation(const std::string &Name) {
+    return Queue.promote(Name);
+  }
 
-  /// Pause/resume the background compile workers (running compiles finish;
-  /// queued ones hold). Tests use this to stage a deterministic backlog.
-  /// No-ops on a shared pool: one session must not be able to pause every
-  /// other session's background work (the service pauses the shared pool
-  /// itself when shedding load).
-  void pauseBackgroundCompiles();
-  void resumeBackgroundCompiles();
+  /// Pause/resume the background workers (running tasks finish; queued ones
+  /// hold); tests stage deterministic backlogs with it. No-ops on a shared
+  /// pool, which only its owner (the service) may pause.
+  void pauseBackgroundCompiles() { Queue.setPaused(true); }
+  void resumeBackgroundCompiles() { Queue.setPaused(false); }
 
   /// Names whose compiles are queued but not yet started, in the order the
   /// workers will pick them up.
-  std::vector<std::string> queuedSpeculations() const;
+  std::vector<std::string> queuedSpeculations() const {
+    return Queue.queued();
+  }
 
   /// Snapshot of the background-speculation counters.
-  SpeculationStats speculationStats() const;
+  SpeculationStats speculationStats() const { return Queue.stats(); }
 
   /// mcc-style generic compilation (no type inference).
   bool precompileGeneric(const std::string &Name, size_t Arity);
@@ -359,20 +323,21 @@ public:
 
   /// True when \p Name's compiler crashed and the engine has stopped
   /// retrying it (every invocation interprets) until its source changes.
-  bool isQuarantined(const std::string &Name) const;
+  bool isQuarantined(const std::string &Name) const {
+    return Queue.read(Name, [](const FnState &S) { return S.Quarantined; });
+  }
 
   /// Number of currently quarantined functions.
-  size_t quarantineCount() const;
+  size_t quarantineCount() const { return Queue.quarantineCount(); }
 
   /// Counters of the persistent store (all zero when no RepoDir is set):
   /// saves, load/quarantine outcomes of the startup validation ladder,
   /// warm-start adoptions, and swept temp files.
-  RepoStoreStats repoStoreStats() const;
+  RepoStoreStats repoStoreStats() const { return Persist.stats(); }
 
-  /// Blocks until background store saves queued so far have finished
-  /// (tests/benchmarks; implies drainCompiles-like determinism for the
-  /// on-disk state).
-  void flushRepoStore();
+  /// Blocks until every background task, store saves included, has
+  /// finished: drainCompiles() determinism for the on-disk state.
+  void flushRepoStore() { Queue.drain(/*WithSaves=*/true); }
 
   //===--------------------------------------------------------------------===
   // Introspection
@@ -452,18 +417,16 @@ private:
     std::shared_ptr<Function> InlinedF;
     std::shared_ptr<FunctionInfo> InlinedInfo;
     /// One observed argument signature with its cached rendering and call
-    /// count. The cache keeps the invocation hot path to a linear scan
-    /// over the one or two signatures a function sees in practice (not a
-    /// render per call); the counts drive observed-signature speculation.
+    /// count: the hot path scans the one or two signatures a function sees
+    /// instead of rendering per call; the counts drive speculation.
     struct SigObs {
       TypeSignature Sig;
       std::string Str;
       uint64_t Count = 0;
     };
     /// Observed signatures, capped at obs::FunctionProfiles::kMaxSignatures
-    /// entries (overflow renders fresh per call). Engine-thread only; the
-    /// most-called signature is published into FnState::ObservedSig (under
-    /// SpecMutex) for the background workers.
+    /// (overflow renders per call). Engine-thread only; the most-called
+    /// one is published on the compile queue for the workers.
     std::vector<SigObs> Obs;
     size_t BestIdx = SIZE_MAX; ///< index into Obs of the published best
     uint64_t BestCount = 0;    ///< its call count at publish time
@@ -492,91 +455,32 @@ private:
   /// on the engine's thread: building the view mutates the LoadedFunction.
   const std::shared_ptr<FunctionInfo> &compileView(LoadedFunction &LF);
 
-  /// Compiles \p Name for \p Sig in \p Mode and inserts into the
-  /// repository. Returns the inserted object or null. \p Optimistic
-  /// controls guarded real-domain math (disabled when recompiling after a
-  /// deoptimization). A compiler exception quarantines the function.
+  /// Foreground compile of \p Name for \p Sig: the inserted object or null.
+  /// \p Optimistic enables guarded real-domain math (off when recompiling
+  /// after a deopt). A compiler exception quarantines the function.
   CompiledObjectPtr compileAndInsert(const std::string &Name,
                                      const TypeSignature &Sig,
                                      CodeGenMode Mode,
                                      CompiledObject::Origin From,
                                      bool Optimistic = true);
 
-  /// The one compile path, foreground and background: a shared-cache
-  /// clone or a fresh compile, then insert (null if \p Name's source moved
-  /// past generation \p Gen), store save and shared-cache publish. Throws
-  /// what the compiler or the repository throws.
+  /// The one compile path, foreground and background: a shared-cache clone
+  /// or a fresh compile, published at generation \p Gen (else null), saved
+  /// and shared. Throws what the compiler or the repository throws.
   CompiledObjectPtr compileVersion(const std::string &Name,
                                    const FunctionInfo &FI,
                                    const TypeSignature &Sig, CodeGenMode Mode,
                                    bool Optimistic,
                                    CompiledObject::Origin From, uint64_t Gen);
 
-  /// Worker-side body of speculateAsync: compileVersion plus the
-  /// speculation accounting.
-  void backgroundCompile(std::string Name,
-                         std::shared_ptr<const FunctionInfo> FI,
-                         std::shared_ptr<const Function> KeepAlive,
-                         uint64_t Gen, std::optional<TypeSignature> Forced);
-
-  /// The most-called observed signature of \p Name when one was published
-  /// and its arity matches \p Arity (an arity mismatch means the profile
-  /// is stale against the live source - fall back to the hint pass).
-  bool observedSignatureFor(const std::string &Name, size_t Arity,
-                            TypeSignature &Out) const;
-
-  /// Seeds a freshly registered \p LF with the persisted observed
-  /// signatures of \p Name (arity-checked against the live source) and
-  /// publishes the most-called one for the speculation workers.
-  void seedObservedSignatures(const std::string &Name, LoadedFunction &LF);
-
   /// The one registration path (addSource, interactive definitions): each
-  /// function of \p M starts a generation with hash \p SrcHash, is
-  /// disambiguated, seeded and offered its warm-start entries.
+  /// function of \p M starts a generation with hash \p SrcHash, and is
+  /// disambiguated, seeded with persisted signatures and offered its warm
+  /// entries.
   void registerModule(Module &M, uint64_t SrcHash);
 
-  /// Composes the persisted profile summaries and writes them through the
-  /// profile store (destructor, after the workers are joined).
-  void saveProfilesToStore();
-
-  /// Starts a new source generation of \p Name: compiled and native
-  /// versions and the quarantine of the old one are retired, and its
-  /// background results are dropped when they finish. \p SrcHash is the
-  /// new source's hash; nullopt means the source was removed, which also
-  /// forgets the observed signature and, with a store, sets the tombstone.
-  void startGeneration(const std::string &Name,
-                       std::optional<uint64_t> SrcHash);
-
-  /// Records a compile failure for \p Name at source generation \p Gen and
-  /// quarantines the function (no recompile attempts until the source
-  /// changes). Pass the generation the failing compile started from so a
-  /// failure racing a reload cannot quarantine the fresh source.
-  void noteCompileFailure(const std::string &Name, uint64_t Gen);
-
-  /// Records the time-to-first-result counter (top-level calls only).
-  void recordFirstResult();
-
-  /// Runs the source-hash rung of the validation ladder over \p Name's
-  /// pending warm-start entries: matching entries are published to the
-  /// repository, drifted ones are discarded from disk.
-  void adoptWarmEntries(const std::string &Name, uint64_t SrcHash);
-
-  /// Persists \p Obj (compiled from source hash \p SrcHash) on the idle
-  /// pool when one exists. Never throws; a failed save costs a recompile.
-  void saveToStore(const CompiledObject &Obj, uint64_t SrcHash);
-
-  /// Runs store write \p Write for \p Name, checking the erased-function
-  /// tombstone on both sides so a write racing a source removal never
-  /// leaves a .mjo (\p Native: a .mjn) on disk.
-  template <typename WriteFn>
-  void writeUnlessErased(const std::string &Name, bool Native, WriteFn Write);
-
-  /// The content hash of \p Name's current source, when one is loaded.
-  std::optional<uint64_t> sourceHash(const std::string &Name) const;
-
-  /// Reacts to the snooper reporting a deleted .m file: the functions it
-  /// defined stop resolving and their compiled versions - in memory and on
-  /// disk - are invalidated rather than served stale.
+  /// A deleted .m file: the functions it defined stop resolving, and their
+  /// versions in memory and on disk are invalidated.
   void handleRemovedSource(const SourceSnooper::Change &C);
 
   //===--------------------------------------------------------------------===
@@ -615,11 +519,9 @@ private:
   // Native tier internals
   //===--------------------------------------------------------------------===
 
-  /// The ready native module for \p Obj, or null. Tracks per-version
-  /// promotion: once the function's recorded invocations reach the
-  /// hotness threshold, queues a native compile on the background pool
-  /// (or compiles synchronously without one) - so the first sighting
-  /// after the threshold still runs on the VM while cc works off-thread.
+  /// The ready native module for \p Obj, or null. Once the function's
+  /// invocations reach the hotness threshold, queues a native build (or
+  /// builds here without a pool); that call still runs on the VM.
   std::shared_ptr<native::NativeModule> nativeModuleFor(
       const CompiledObject &Obj);
 
@@ -633,18 +535,11 @@ private:
                                        size_t NumOuts,
                                        std::vector<ValuePtr> &Out);
 
-  /// Emits C for \p Code, drives the system compiler, loads the result,
-  /// publishes the module and persists the .so bytes beside the .mjo, both
-  /// only while \p Name is at \p Gen, the generation it was queued at.
-  /// Never throws: any failure marks the version Failed (VM from then on).
+  /// Emits C for \p Code, compiles and loads it, then publishes and
+  /// persists it if \p Name is still at \p Gen, the generation it was
+  /// queued at. Never throws: a failure pins the version to the VM.
   void buildNative(const std::string &Name, const TypeSignature &Sig,
-                   std::shared_ptr<const IRFunction> Code, uint64_t Gen);
-
-  /// Drops one native version after a runtime failure (deopt, injected
-  /// fault): the module is discarded, the version pinned to the VM, and
-  /// the function's on-disk .mjn entries erased so the next session does
-  /// not resurrect the bad code.
-  void quarantineNative(const std::string &Name, const TypeSignature &Sig);
+                   const std::shared_ptr<const IRFunction> &Code, uint64_t Gen);
 
   /// Records one observation of \p Sig on \p LF (count bump, publishing
   /// the most-called signature for the speculation workers) and returns
@@ -653,11 +548,9 @@ private:
                                       const TypeSignature &Sig);
 
   //===--------------------------------------------------------------------===
-  // Observability. Declared before every other member: components register
-  // their own counters here (Repository) or receive pointers to
-  // registry-owned instruments (SpecPool), so the registry must be
-  // constructed first and destroyed last. The destructor body writes the
-  // final dumps while all members are still alive.
+  // Observability, declared first: components register their counters
+  // here or hold registry-owned instruments, so the registry must be built
+  // first and destroyed last.
   //===--------------------------------------------------------------------===
 
   obs::MetricsRegistry Metrics;
@@ -683,6 +576,11 @@ private:
   Diagnostics Diags;
   Context Ctx;
   Repository Repo;
+  /// Background compiles, saves and native builds, and the records they
+  /// publish against. shutdown() quiesces it before any member goes.
+  CompileQueue Queue;
+  /// The persistent repository (warm start) and the profile store.
+  Persistence Persist;
   SourceSnooper Snooper;
   std::unique_ptr<VM> Machine;
   std::unique_ptr<Interpreter> Interp;
@@ -690,6 +588,9 @@ private:
 
   std::vector<std::unique_ptr<Module>> Modules;
   std::unordered_map<std::string, LoadedFunction> Functions;
+  /// Function names each loaded file defined; snooper removal invalidates
+  /// through this (a file's stem need not match its function names).
+  std::unordered_map<std::string, std::vector<std::string>> FileFunctions;
 
   // Interactive workspace (scripts).
   std::unordered_map<std::string, ValuePtr> WorkspaceByName;
@@ -711,17 +612,15 @@ private:
   obs::Counter NativeDeopts;    ///< registered as "native.deopts"
   obs::Counter NativeHits;      ///< registered as "native.hits"
 
-  //===--------------------------------------------------------------------===
-  // Native tier state
-  //===--------------------------------------------------------------------===
-
   /// Bridges Opcode::CallU from machine code back into the engine's own
   /// dispatch (repository lookup, tiering, interpreter fallback).
   struct NativeHostBridge : native::NativeHost {
     Engine *E = nullptr;
     std::vector<ValuePtr> callFunction(const std::string &Name,
                                        std::vector<ValuePtr> Args,
-                                       size_t NumOuts) override;
+                                       size_t NumOuts) override {
+      return E->callFunction(Name, std::move(Args), NumOuts, SourceLoc());
+    }
   } NativeHostAdapter;
   /// Present when NativeTier is on (even if the compiler probe failed -
   /// available() distinguishes). Null when the tier is off.
@@ -729,149 +628,14 @@ private:
   /// True when this engine installed the process-wide memory limit (so the
   /// destructor knows to lift it).
   bool OwnsMemLimit = false;
-
-  //===--------------------------------------------------------------------===
-  // Persistent repository (warm start). Declared before SpecPool: save
-  // tasks run on the pool and touch the store, so the store must outlive
-  // the workers.
-  //===--------------------------------------------------------------------===
-
-  /// Open when RepoDir (option or MAJIC_REPO_DIR) names a directory.
-  std::unique_ptr<RepoStore> Store;
-  /// Separate store instance when ProfileDir differs from RepoDir (used
-  /// only for the profile summary file).
-  std::unique_ptr<RepoStore> OwnedProfileStore;
-  /// Where the profile summary is loaded from / saved to: Store when the
-  /// directories coincide, OwnedProfileStore otherwise, null when neither
-  /// directory is configured.
-  RepoStore *ProfileStore = nullptr;
-  /// What startup read from disk for one function. Engine-thread only.
-  /// Registration moves the .mjo/.mjn entries out through the source-hash
-  /// rung (adoptWarmEntries); the persisted signatures stay, seeding every
-  /// registration (arity-checked) and the profile summary.
-  struct WarmEntries {
-    std::vector<RepoStore::Entry> Objects;
-    std::vector<RepoStore::NativeEntry> Natives;
-    std::vector<RepoStore::ProfileSig> Sigs;
-  };
-  std::unordered_map<std::string, WarmEntries> Warm;
-  /// Function names each loaded file defined; snooper removal invalidates
-  /// through this (a file's stem need not match its function names).
-  std::unordered_map<std::string, std::vector<std::string>> FileFunctions;
-
-  //===--------------------------------------------------------------------===
-  // Background speculation (the compile queue). All fields below are
-  // guarded by SpecMutex except the pool itself. The engine's public API
-  // remains single-threaded; only Repository, PhaseTimes and this block
-  // are touched from workers.
-  //===--------------------------------------------------------------------===
-
-  /// Owned workers when no shared pool is configured (null otherwise).
-  /// Only the engine thread touches the unique_ptr itself.
-  std::unique_ptr<ThreadPool> OwnedSpecPool;
-  /// The pool speculation and saves run on: OwnedSpecPool.get() or
-  /// Opts.SharedSpecPool. Written only on the engine thread (constructor
-  /// and shutdown); engine-thread reads are plain, worker reads go through
-  /// SpecMutex, where shutdown's clearing write is also made - that
-  /// ordering is what fixes the old teardown race, where workers read the
-  /// unique_ptr member while the destructor nulled it.
-  ThreadPool *SpecPool = nullptr;
   /// Engine-thread only: shutdown() already ran.
   bool ShutdownDone = false;
-  mutable std::mutex SpecMutex;
-  std::condition_variable SpecIdleCv;
-  /// Guarded by SpecMutex. While draining (shutdown), workers persist
-  /// synchronously instead of enqueueing onto a pool that may be paused or
-  /// mid-teardown, and no new speculation is accepted.
-  bool Draining = false;
   /// Per-session byte budget and interrupt token (PerSessionLimits);
   /// internally synchronized.
   mem::Account MemAccount;
   exec::Token IntrToken;
   /// sharedCacheConfigHash(Opts), resolved once at construction.
   uint64_t CfgHash = 0;
-  /// One (function, signature) version's place in the native tier:
-  /// workers publish Ready modules, the engine thread reads.
-  struct NativeVersion {
-    enum class State { Pending, Ready, Failed } St = State::Pending;
-    std::shared_ptr<native::NativeModule> Module;
-    std::shared_ptr<native::NativeModule> ready() const {
-      return St == State::Ready ? Module : nullptr;
-    }
-  };
-  /// What the engine thread and the workers share about one function
-  /// (under SpecMutex). Created at its first registration and never erased: a removal keeps
-  /// the bumped generation and the tombstone.
-  struct FnState {
-    /// Bumped by every new source (startGeneration): a background result
-    /// built at an older generation is dropped instead of published.
-    uint64_t Generation = 0;
-    /// This generation's compiler raised an exception: interpret instead
-    /// of retrying until the source changes.
-    bool Quarantined = false;
-    /// Tombstone: the source was deleted and its on-disk entries erased.
-    /// A save queued before the removal checks it around its write
-    /// (writeUnlessErased), so the function cannot resurrect on the next
-    /// warm start however the save and the erase interleave.
-    bool Erased = false;
-    /// Content hash of the current source; empty once it is removed.
-    std::optional<uint64_t> SrcHash;
-    /// The most-called observed signature, published by the engine thread
-    /// and read by the workers when picking what to speculate.
-    std::optional<TypeSignature> ObservedSig;
-    /// This generation's native versions, one per signature.
-    std::vector<std::pair<TypeSignature, NativeVersion>> Natives;
-    NativeVersion *native(const TypeSignature &Sig) {
-      for (auto &[S, NV] : Natives)
-        if (S == Sig)
-          return &NV;
-      return nullptr;
-    }
-  };
-  std::unordered_map<std::string, FnState> FnStates;
-  /// \p Name's record, or null when never registered (under SpecMutex).
-  const FnState *state(const std::string &Name) const;
-  /// The background-task ledger: this engine's tasks on the pool, queued
-  /// ones in pick-up order. A task marks its entry started when a worker
-  /// picks it up and erases it when done; promotion and shutdown's cancel
-  /// loop work through the queued entries, the barriers wait for the
-  /// ledger to empty, and a compile entry is also the one-per-function
-  /// in-flight dedup (keyed by name: the signature is picked on the
-  /// worker).
-  enum class TaskKind : uint8_t { Compile, Save, Native };
-  struct Task {
-    uint64_t Seq;              ///< the engine's key, known to the task body
-    ThreadPool::TaskId PoolId; ///< what promote() and cancel() take
-    TaskKind Kind;
-    std::string Name;
-    bool Started = false;
-  };
-  std::vector<Task> Tasks;
-  uint64_t LastTaskSeq = 0;
-  /// Queues \p Body as a \p Kind task and enters it in the ledger (under
-  /// SpecMutex). False, leaving no trace, without a pool, while draining,
-  /// or on an enqueue fault: the caller then works synchronously.
-  template <typename Fn>
-  bool enqueueTask(TaskKind Kind, const std::string &Name, Fn Body);
-  /// \p Name's queued or running compile task, or end() (under SpecMutex).
-  std::vector<Task>::const_iterator compileTask(const std::string &Name) const;
-  /// No compile or native build (nor, \p WithSaves, save) is queued or
-  /// running (under SpecMutex).
-  bool tasksIdle(bool WithSaves) const;
-  /// The speculation counters, migrated onto the registry ("spec.*");
-  /// speculationStats() composes the legacy struct from them. The
-  /// double-valued timers stay plain and SpecMutex-guarded.
-  struct {
-    obs::Counter Queued, Completed, Dropped, DedupedRequests,
-        InFlightInterpreted, Promoted, Failed;
-    /// Speculative compiles whose signature came from observation (live
-    /// or persisted) rather than the backward-hint guess.
-    obs::Counter ObservedSigCompiles;
-  } Spec;
-  double SpecBackgroundSeconds = 0;     ///< guarded by SpecMutex
-  double TimeToFirstResultSeconds = -1; ///< guarded by SpecMutex
-  /// Engine birth, the zero point of TimeToFirstResultSeconds.
-  Timer BirthTimer;
 };
 
 } // namespace majic

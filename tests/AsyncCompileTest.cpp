@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/CompileQueue.h"
 #include "engine/Engine.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
@@ -160,6 +161,117 @@ TEST(RepositoryConcurrency, ConcurrentLookupInsertInvalidate) {
             static_cast<uint64_t>(kReaders) * kRounds);
   EXPECT_EQ(R.lookupMisses(),
             R.lookupMissesNoFunction() + R.lookupMissesNoSafeVersion());
+}
+
+//===----------------------------------------------------------------------===//
+// CompileQueue: the generation rule, without a pool or threads
+//===----------------------------------------------------------------------===//
+
+uint64_t generationOf(const CompileQueue &Q, const std::string &Name) {
+  return Q.read(Name, [](const FnState &S) { return S.Generation; });
+}
+
+TEST(CompileQueueTest, FailureAtSupersededGenerationDoesNotQuarantine) {
+  Repository Repo;
+  obs::MetricsRegistry Metrics;
+  CompileQueue Q(Repo, Metrics, nullptr, 0);
+  auto Quarantined = [&] {
+    return Q.read("f", [](const FnState &S) { return S.Quarantined; });
+  };
+  Q.startGeneration("f", 1);
+  uint64_t Old = generationOf(Q, "f");
+  Q.startGeneration("f", 2); // a reload while the compile ran
+  Q.noteCompileFailure("f", Old);
+  EXPECT_FALSE(Quarantined());
+  EXPECT_EQ(Q.quarantineCount(), 0u);
+  EXPECT_EQ(Q.stats().Failed, 1u); // counted, though not quarantined
+
+  Q.noteCompileFailure("f", generationOf(Q, "f"));
+  EXPECT_TRUE(Quarantined());
+  EXPECT_EQ(Q.quarantineCount(), 1u);
+  Q.startGeneration("f", 3); // new source, new chance
+  EXPECT_FALSE(Quarantined());
+}
+
+TEST(CompileQueueTest, PublishAtSupersededGenerationIsRefused) {
+  Repository Repo;
+  obs::MetricsRegistry Metrics;
+  CompileQueue Q(Repo, Metrics, nullptr, 0);
+  TypeSignature Sig = TypeSignature::generic(1);
+  Q.startGeneration("f", 1);
+  uint64_t Old = generationOf(Q, "f");
+  Q.startGeneration("f", 2);
+  EXPECT_EQ(Q.publish(makeObj("f", Sig), Old), nullptr);
+  EXPECT_EQ(Repo.versionCount("f"), 0u);
+  EXPECT_FALSE(Q.setNative("f", Sig, {NativeVersion::State::Failed, nullptr},
+                           Old));
+  EXPECT_FALSE(Q.read("f", [&](const FnState &S) {
+    return S.nativeModule(Sig).has_value();
+  }));
+
+  uint64_t Cur = generationOf(Q, "f");
+  EXPECT_NE(Q.publish(makeObj("f", Sig), Cur), nullptr);
+  EXPECT_EQ(Repo.versionCount("f"), 1u);
+  // The native version is set under the hash of the source it came from.
+  EXPECT_EQ(Q.setNative("f", Sig, {NativeVersion::State::Failed, nullptr},
+                        Cur),
+            std::optional<uint64_t>(2));
+  // A new generation retires what the old one published.
+  Q.startGeneration("f", 3);
+  EXPECT_EQ(Repo.versionCount("f"), 0u);
+  EXPECT_FALSE(Q.read("f", [&](const FnState &S) {
+    return S.nativeModule(Sig).has_value();
+  }));
+}
+
+TEST(CompileQueueTest, RemovalSetsTombstoneAndReregistrationClearsIt) {
+  Repository Repo;
+  obs::MetricsRegistry Metrics;
+  CompileQueue Q(Repo, Metrics, nullptr, 0);
+  auto Erased = [&] {
+    return Q.read("f", [](const FnState &S) { return S.Erased; });
+  };
+  auto Hash = [&] {
+    return Q.read("f", [](const FnState &S) { return S.SrcHash; });
+  };
+  EXPECT_FALSE(Erased()); // never registered: no tombstone either
+  Q.startGeneration("f", 7);
+  Q.setObservedSignature("f", TypeSignature::generic(1));
+  EXPECT_FALSE(Erased());
+  EXPECT_EQ(Hash(), std::optional<uint64_t>(7));
+
+  uint64_t Before = generationOf(Q, "f");
+  Q.startGeneration("f", std::nullopt); // the source was removed
+  EXPECT_TRUE(Erased());
+  EXPECT_EQ(Hash(), std::nullopt);
+  EXPECT_GT(generationOf(Q, "f"), Before);
+  EXPECT_FALSE(Q.read("f", [](const FnState &S) { return S.observed(1); }));
+
+  Q.startGeneration("f", 8); // defined again
+  EXPECT_FALSE(Erased());
+  EXPECT_EQ(Hash(), std::optional<uint64_t>(8));
+}
+
+TEST(CompileQueueTest, WithoutPoolCallersWorkSynchronously) {
+  Repository Repo;
+  obs::MetricsRegistry Metrics;
+  CompileQueue Q(Repo, Metrics, nullptr, 0);
+  EXPECT_FALSE(Q.hasPool());
+  Q.startGeneration("f", 1);
+  EXPECT_FALSE(Q.enqueue(CompileQueue::TaskKind::Save, "f", [] {}));
+  EXPECT_FALSE(Q.enqueueCompile("f", [](uint64_t) { return true; }));
+  EXPECT_EQ(Q.stats().Queued + Q.stats().Failed, 0u);
+  // A native build is entered Pending and handed back to build here, at
+  // the current generation.
+  TypeSignature Sig = TypeSignature::generic(1);
+  EXPECT_EQ(Q.enqueueNative("f", Sig, [](uint64_t) {}),
+            std::optional<uint64_t>(generationOf(Q, "f")));
+  auto Version = Q.read("f", [&](const FnState &S) {
+    return S.nativeModule(Sig);
+  });
+  ASSERT_TRUE(Version.has_value());
+  EXPECT_EQ(*Version, nullptr);
+  Q.drain(/*WithSaves=*/true); // nothing to wait for
 }
 
 //===----------------------------------------------------------------------===//
@@ -465,6 +577,34 @@ TEST(EngineAsync, ShutdownOnPausedSharedPoolCancelsEveryTaskKind) {
   Pool.setPaused(false);
   Pool.waitIdle();
   EXPECT_EQ(Pool.metricsSink().Finished->value(), 0u);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(EngineAsync, DrainCompilesLeavesSavesAndShutdownPersistsThem) {
+  // The ledger's two barriers: drainCompiles() waits for compiles and
+  // native builds only, so a foreground compile's store save may still be
+  // queued when it returns. Destroying the engine drains its own (paused)
+  // pool, so the save lands and the next engine warm-starts from it.
+  std::string Dir = ::testing::TempDir() + "/majic_async_barriers";
+  std::filesystem::remove_all(Dir);
+  EngineOptions O;
+  O.Policy = CompilePolicy::Jit;
+  O.BackgroundCompileThreads = 1;
+  O.RepoDir = Dir;
+  {
+    Engine E(O);
+    E.pauseBackgroundCompiles();
+    ASSERT_TRUE(E.addSource("countdown", kCountdownV1));
+    auto R = E.callFunction("countdown", {makeValue(Value::intScalar(10))}, 1,
+                            SourceLoc());
+    EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 55);
+    EXPECT_EQ(E.jitCompiles(), 1u);
+    E.drainCompiles(); // returns although the save cannot run
+    EXPECT_EQ(E.metrics().gauge("pool.spec.queue_depth").value(), 1);
+    EXPECT_EQ(E.repoStoreStats().Saved, 0u);
+  }
+  Engine Next(O);
+  EXPECT_EQ(Next.repoStoreStats().Loaded, 1u);
   std::filesystem::remove_all(Dir);
 }
 
