@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the sanitizer sweeps:
-#   1. Release build + full ctest suite
+#   1. Release build (warnings are errors) + full ctest suite
 #   2. AddressSanitizer build + full ctest suite
 #   3. ThreadSanitizer build + the concurrency-sensitive tests
 #
@@ -14,7 +14,7 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 echo "== tier-1: release build + ctest =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j >/dev/null
 ctest --test-dir build --output-on-failure
 

@@ -1,18 +1,21 @@
-//===- backend/ExecShared.h - Helpers shared by the VM and native tier -*- C++ -*-===//
+//===- backend/ExecShared.h - Op bodies shared by the VM and native tier -*- C++ -*-===//
 //
 // Part of the MaJIC reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Execution helpers shared between the register VM (backend/VM.cpp) and
-/// the native tier's runtime shims (native/NativeRuntime.cpp). Both tiers
-/// must agree bit-for-bit on semantics - element stores promote array
-/// classes the same way, guarded intrinsics deoptimize on the same domain
-/// violations, and a fused elementwise program resolves its result shape
-/// and class (and raises the identical dimension errors) through one
-/// simulation. Keeping one copy here is what makes "native output ==
-/// VM output" a structural property instead of a test-enforced hope.
+/// The semantics of every boxed op that both the register VM (VM.cpp)
+/// and the native tier's callbacks (native/NativeRuntime.cpp) execute,
+/// written once: each VM case and each native shim calls into exec::, so
+/// the tiers produce bit-identical values and byte-identical error text by
+/// construction. This file owns what an op does - checks, class
+/// promotion, fast paths, error messages; NativeRuntime.cpp owns only the
+/// C ABI around it (boxing, write caches, va_arg unpacking, the longjmp
+/// trampoline). Registers are ValuePtrs on both sides, null = unassigned.
+/// Element-access bodies are inline; only their error formatting and the
+/// heavier bodies live in ExecShared.cpp. The interpreter, the independent
+/// oracle, calls none of this.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,8 +30,18 @@
 #include "support/Error.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace majic {
 namespace exec {
+
+// Error paths (ExecShared.cpp).
+[[noreturn]] void throwEmptyRegister();
+[[noreturn]] void throwOutOfBounds(int64_t I, const Value &V);
+[[noreturn]] void throwOutOfBounds2(int64_t R, int64_t C, const Value &V);
+[[noreturn]] void throwBadSubscript();
+[[noreturn]] void throwNullArgument();
 
 /// Promotes the array's class tag when storing an element of class \p C.
 inline void promoteClass(Value &V, MClass C) {
@@ -39,8 +52,9 @@ inline void promoteClass(Value &V, MClass C) {
     V.setClass(C);
 }
 
-/// Direct element store with complex-imaginary clearing.
-inline void storeDirect(Value &V, size_t Idx, double X) {
+/// Stores element \p Idx of class \p C, clearing any imaginary half.
+inline void storeElement(Value &V, size_t Idx, double X, MClass C) {
+  promoteClass(V, C);
   V.reRef(Idx) = X;
   if (V.isComplex())
     V.imRef(Idx) = 0.0;
@@ -69,7 +83,7 @@ inline void checkIntrinsicGuard(ScalarIntrinsic Intr, double X) {
 
 inline Value &requireValue(const ValuePtr &P) {
   if (!P)
-    throw MatlabError("internal: use of an empty value register");
+    throwEmptyRegister();
   return *P;
 }
 
@@ -86,6 +100,181 @@ inline const Value &requireRealData(const Value &V) {
     throw DeoptError{ScalarIntrinsic::None, 0.0};
   return V;
 }
+
+/// UnboxF / get_scalar.
+inline double unboxReal(const ValuePtr &P) {
+  return requireRealData(requireValue(P)).scalarValue();
+}
+
+/// UnboxI / get_int_scalar: the scalar must be integral within 1e-8.
+inline int64_t unboxInt(const ValuePtr &P) {
+  double X = unboxReal(P);
+  double R = std::round(X);
+  if (std::abs(X - R) > 1e-8)
+    throw MatlabError(format("expected an integer value, got %g", X));
+  return static_cast<int64_t>(R);
+}
+
+/// UnboxReIm / get_complex.
+inline void unboxReIm(const ValuePtr &P, double &Re, double &Im) {
+  const Value &V = requireValue(P);
+  if (!V.isScalar())
+    throw MatlabError("expected a scalar value");
+  Re = V.re(0);
+  Im = V.im(0);
+}
+
+/// CheckDef / check_defined.
+inline void checkDefined(const ValuePtr &P, const char *Name) {
+  if (!P)
+    throw MatlabError(format("undefined function or variable '%s'", Name));
+}
+
+/// NewMat / zeros: negative extents clamp to empty.
+inline ValuePtr newMat(int64_t R, int64_t C, MClass K) {
+  return makeValue(Value::zeros(static_cast<size_t>(std::max<int64_t>(R, 0)),
+                                static_cast<size_t>(std::max<int64_t>(C, 0)),
+                                K));
+}
+
+/// The unshared value a write to an existing array modifies.
+inline Value &writeTarget(ValuePtr &P) {
+  requireValue(P);
+  return makeUnique(P);
+}
+
+/// The unshared value a growing write modifies; unassigned starts as [].
+inline Value &growTarget(ValuePtr &P) {
+  if (!P)
+    P = makeValue(Value());
+  return makeUnique(P);
+}
+
+/// FillF / fill.
+inline void fill(ValuePtr &P, double X) {
+  Value &V = writeTarget(P);
+  std::fill(V.reData(), V.reData() + V.numel(), X);
+}
+
+/// LoadElChk / load_chk. Indices are 0-based throughout.
+inline double loadElChk(const ValuePtr &P, int64_t I) {
+  const Value &V = requireRealData(requireValue(P));
+  if (I < 0 || static_cast<size_t>(I) >= V.numel())
+    throwOutOfBounds(I, V);
+  return V.re(static_cast<size_t>(I));
+}
+
+/// LoadEl2Chk / load2_chk.
+inline double loadEl2Chk(const ValuePtr &P, int64_t R, int64_t C) {
+  const Value &V = requireRealData(requireValue(P));
+  if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
+      static_cast<size_t>(C) >= V.cols())
+    throwOutOfBounds2(R, C, V);
+  return V.at(static_cast<size_t>(R), static_cast<size_t>(C));
+}
+
+/// StoreEl / store_slow: a store codegen proved in bounds.
+inline void storeEl(ValuePtr &P, int64_t I, double X, MClass K) {
+  storeElement(writeTarget(P), static_cast<size_t>(I), X, K);
+}
+
+/// StoreEl2 / store2_slow.
+inline void storeEl2(ValuePtr &P, int64_t R, int64_t C, double X, MClass K) {
+  Value &V = writeTarget(P);
+  storeElement(V, static_cast<size_t>(C) * V.rows() + static_cast<size_t>(R),
+               X, K);
+}
+
+/// StoreElChk / store_grow: a store past the end resizes (with
+/// oversizing) through the runtime.
+inline void storeElChk(ValuePtr &P, int64_t I, double X, MClass K) {
+  Value &V = growTarget(P);
+  if (I < 0)
+    throwBadSubscript();
+  if (static_cast<size_t>(I) < V.numel())
+    return storeElement(V, static_cast<size_t>(I), X, K);
+  Value RHS = Value::scalar(X);
+  RHS.setClass(K);
+  rt::indexAssign1(V, rt::Indexer::single(static_cast<size_t>(I)), RHS);
+}
+
+/// StoreEl2Chk / store2_grow.
+inline void storeEl2Chk(ValuePtr &P, int64_t R, int64_t C, double X,
+                        MClass K) {
+  Value &V = growTarget(P);
+  if (R < 0 || C < 0)
+    throwBadSubscript();
+  size_t Row = static_cast<size_t>(R), Col = static_cast<size_t>(C);
+  if (Row < V.rows() && Col < V.cols())
+    return storeElement(V, Col * V.rows() + Row, X, K);
+  Value RHS = Value::scalar(X);
+  RHS.setClass(K);
+  rt::indexAssign2(V, rt::Indexer::single(Row), rt::Indexer::single(Col),
+                   RHS);
+}
+
+// The heavier bodies (ExecShared.cpp).
+
+/// ColSlice / col_slice: all rows of column \p C.
+ValuePtr colSlice(const ValuePtr &P, int64_t C);
+
+/// LoadIdxG / index_load: Base(Subs[0]) or Base(Subs[0], Subs[1]); a
+/// subscript points at its register, or is null for ':'.
+ValuePtr indexLoad(const ValuePtr &Base, const ValuePtr *const *Subs,
+                   int32_t N);
+
+/// StoreIdxG / index_assign: Base(Subs...) = Rhs, growing as needed.
+void indexAssign(ValuePtr &Base, const ValuePtr *const *Subs, int32_t N,
+                 const ValuePtr &Rhs);
+
+/// Gemv / gemv: A*X, through dgemv when both are real and X is a column.
+ValuePtr gemv(const ValuePtr &A, const ValuePtr &X);
+
+/// Axpy / axpy: A*X + Y, in one pass when X and Y are real and same-shape.
+ValuePtr axpy(double A, const ValuePtr &X, const ValuePtr &Y);
+
+/// CallB / call_builtin: calls \p Def (null if \p Name is no builtin) on
+/// \p Args (null = unassigned) for \p NDsts outputs. A statement call
+/// (nargout 0) may get fewer - its missing outputs are absent optional
+/// ones, null registers (builtinOutput); any other call must get them all.
+std::vector<Value> callBuiltin(Context &Ctx, const BuiltinDef *Def,
+                               const char *Name,
+                               std::span<const Value *const> Args,
+                               int32_t NDsts, bool Statement);
+
+/// Output register \p K of a builtin call's results \p Rs.
+inline ValuePtr builtinOutput(std::vector<Value> &Rs, int32_t K) {
+  size_t I = static_cast<size_t>(K);
+  return I < Rs.size() ? makeValue(std::move(Rs[I])) : nullptr;
+}
+
+/// CallU / call_function, under callBuiltin's output rules. \p Call(Args,
+/// Nargout) runs the user function through the tier's resolver.
+template <typename CallFn>
+std::vector<ValuePtr> callFunction(CallFn &&Call, std::vector<ValuePtr> Args,
+                                   int32_t NDsts, bool Statement) {
+  for (const ValuePtr &A : Args)
+    if (!A)
+      throwNullArgument();
+  std::vector<ValuePtr> Rs =
+      Call(std::move(Args), Statement ? 0 : static_cast<size_t>(NDsts));
+  if (Rs.size() < static_cast<size_t>(NDsts) && !Statement)
+    throw MatlabError("not enough output arguments");
+  Rs.resize(static_cast<size_t>(NDsts));
+  return Rs;
+}
+
+/// Display / display. A null register is an absent optional output.
+inline void display(Context &Ctx, const ValuePtr &P, const std::string &Name) {
+  if (P)
+    Ctx.print(rt::displayValue(*P, Name));
+}
+
+/// Ret / runNative's return: function \p FnName's output registers \p Outs
+/// for a caller asking for \p NumOuts; nargout 0 yields the first output
+/// if assigned (ans / display).
+std::vector<ValuePtr> returnOutputs(std::vector<ValuePtr> Outs,
+                                    size_t NumOuts, const std::string &FnName);
 
 /// The resolved output of a fused elementwise program: shape + class of
 /// the Value the executor must allocate.
@@ -107,7 +296,7 @@ inline EwPlan ewSimulate(const Value *const *Ops, int32_t NumOps,
                          const int32_t *Prog, size_t ProgLen) {
   for (int32_t K = 0; K != NumOps; ++K) {
     if (!Ops[K])
-      throw MatlabError("internal: use of an empty value register");
+      throwEmptyRegister();
     const Value &V = *Ops[K];
     if (V.isComplex() || V.mclass() == MClass::String)
       throw DeoptError{ScalarIntrinsic::None, 0.0};

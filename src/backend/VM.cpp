@@ -8,16 +8,13 @@
 
 #include "backend/ExecShared.h"
 #include "obs/Trace.h"
-#include "runtime/Blas.h"
 #include "runtime/Builtins.h"
 #include "runtime/Ops.h"
 #include "support/Parallel.h"
-#include "support/StringUtils.h"
 
 #include <cmath>
 
 using namespace majic;
-using rt::Indexer;
 
 namespace {
 
@@ -39,14 +36,11 @@ bool evalCond(CondCode CC, double A, double B) {
   majic_unreachable("invalid condition code");
 }
 
-// Semantics helpers shared with the native tier (backend/ExecShared.h):
-// both tiers must promote classes, guard intrinsics, and validate register
-// contents identically.
+// Every boxed op's semantics live in backend/ExecShared.h, shared with the
+// native tier; the cases below only route registers to them.
 using exec::checkIntrinsicGuard;
-using exec::promoteClass;
 using exec::requireRealData;
 using exec::requireValue;
-using exec::storeDirect;
 
 /// Minimum elements before the fused elementwise loop goes parallel
 /// (matches the interpreter's ElemGrain: these loops are memory-bound).
@@ -78,8 +72,8 @@ Value runEwFuse(const IRFunction &F, const Instr &In,
   // optimistic assumption failed, so deoptimize (the interpreter fallback
   // produces the general-semantics result) rather than risk divergence.
   // The operand checks and the Pass-1 shape/class simulation live in
-  // exec::ewSimulate, shared verbatim with the native tier's allocation
-  // shim so both tiers raise identical errors and allocate identically.
+  // exec::ewSimulate, shared with the native tier's allocation shim so both
+  // tiers raise identical errors and allocate identically.
   std::vector<const Value *> Ops(NumOps);
   for (int32_t K = 0; K != NumOps; ++K)
     Ops[K] = PR[F.Pool[In.B + K]].get();
@@ -277,18 +271,6 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
   size_t PC = 0;
   uint64_t Count = 0;
 
-  auto GatherArgs = [&](int32_t Off, int32_t N) {
-    std::vector<ValuePtr> Out;
-    Out.reserve(N);
-    for (int32_t K = 0; K != N; ++K) {
-      const ValuePtr &V = PR[F.Pool[Off + K]];
-      if (!V)
-        throw MatlabError("internal: null argument value");
-      Out.push_back(V);
-    }
-    return Out;
-  };
-
   while (true) {
     const Instr &In = Code[PC];
     ++Count;
@@ -403,27 +385,10 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
         continue;
       }
       break;
-    case Opcode::Ret: {
+    case Opcode::Ret:
       Ctx.Exec.consume(Count & 0xFF); // the tail not covered by the poll
       InstrCount += Count;
-      if (NumOuts == 0) {
-        // nargout = 0: optional first output for ans/display semantics.
-        if (!Outs.empty() && Outs[0])
-          return {Outs[0]};
-        return {};
-      }
-      if (NumOuts > std::max<size_t>(Outs.size(), 1))
-        throw MatlabError(format("too many output arguments from '%s'",
-                                 F.Name.c_str()));
-      for (size_t K = 0; K != NumOuts; ++K) {
-        if (K >= Outs.size() || !Outs[K])
-          throw MatlabError(
-              format("output argument %zu of '%s' not assigned", K + 1,
-                     F.Name.c_str()));
-      }
-      Outs.resize(std::min(NumOuts, Outs.size()));
-      return Outs;
-    }
+      return exec::returnOutputs(std::move(Outs), NumOuts, F.Name);
 
     case Opcode::BoxF:
       PR[In.A] = makeScalar(FR[In.B]);
@@ -438,129 +403,58 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       PR[In.A] = makeValue(Value::complexScalar(FR[In.B], FR[In.C]));
       break;
     case Opcode::UnboxF:
-      FR[In.A] = requireRealData(requireValue(PR[In.B])).scalarValue();
+      FR[In.A] = exec::unboxReal(PR[In.B]);
       break;
-    case Opcode::UnboxI: {
-      double X = requireRealData(requireValue(PR[In.B])).scalarValue();
-      double R = std::round(X);
-      if (std::abs(X - R) > 1e-8)
-        throw MatlabError(format("expected an integer value, got %g", X));
-      IR[In.A] = static_cast<int64_t>(R);
+    case Opcode::UnboxI:
+      IR[In.A] = exec::unboxInt(PR[In.B]);
       break;
-    }
-    case Opcode::UnboxReIm: {
-      const Value &V = requireValue(PR[In.C]);
-      if (!V.isScalar())
-        throw MatlabError("expected a scalar value");
-      FR[In.A] = V.re(0);
-      FR[In.B] = V.im(0);
+    case Opcode::UnboxReIm:
+      exec::unboxReIm(PR[In.C], FR[In.A], FR[In.B]);
       break;
-    }
     case Opcode::CheckDef:
-      if (!PR[In.A])
-        throw MatlabError(format("undefined function or variable '%s'",
-                                 F.Names[In.Imm.I].c_str()));
+      exec::checkDefined(PR[In.A], F.Names[In.Imm.I].c_str());
       break;
 
-    case Opcode::NewMat: {
-      int64_t R = std::max<int64_t>(IR[In.B], 0);
-      int64_t C = std::max<int64_t>(IR[In.C], 0);
-      PR[In.A] = makeValue(Value::zeros(static_cast<size_t>(R),
-                                        static_cast<size_t>(C),
-                                        static_cast<MClass>(In.Imm.I)));
+    case Opcode::NewMat:
+      PR[In.A] =
+          exec::newMat(IR[In.B], IR[In.C], static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::FillF: {
-      Value &V = makeUnique(PR[In.A]);
-      std::fill(V.reData(), V.reData() + V.numel(), In.Imm.F);
+    case Opcode::FillF:
+      exec::fill(PR[In.A], In.Imm.F);
       break;
-    }
 
     case Opcode::LoadEl:
       FR[In.A] = requireRealData(requireValue(PR[In.B]))
                      .re(static_cast<size_t>(IR[In.C]));
       break;
-    case Opcode::LoadElChk: {
-      const Value &V = requireRealData(requireValue(PR[In.B]));
-      int64_t Idx = IR[In.C];
-      if (Idx < 0 || static_cast<size_t>(Idx) >= V.numel())
-        throw MatlabError(format("index out of bounds: %lld exceeds numel %zu",
-                                 static_cast<long long>(Idx + 1), V.numel()));
-      FR[In.A] = V.re(static_cast<size_t>(Idx));
+    case Opcode::LoadElChk:
+      FR[In.A] = exec::loadElChk(PR[In.B], IR[In.C]);
       break;
-    }
     case Opcode::LoadEl2:
       FR[In.A] = requireRealData(requireValue(PR[In.B]))
                      .at(static_cast<size_t>(IR[In.C]),
                          static_cast<size_t>(IR[In.D]));
       break;
-    case Opcode::LoadEl2Chk: {
-      const Value &V = requireRealData(requireValue(PR[In.B]));
-      int64_t R = IR[In.C], C = IR[In.D];
-      if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
-          static_cast<size_t>(C) >= V.cols())
-        throw MatlabError(format("index (%lld, %lld) out of bounds for "
-                                 "%zux%zu matrix",
-                                 static_cast<long long>(R + 1),
-                                 static_cast<long long>(C + 1), V.rows(),
-                                 V.cols()));
-      FR[In.A] = V.at(static_cast<size_t>(R), static_cast<size_t>(C));
+    case Opcode::LoadEl2Chk:
+      FR[In.A] = exec::loadEl2Chk(PR[In.B], IR[In.C], IR[In.D]);
       break;
-    }
 
-    case Opcode::StoreEl: {
-      Value &V = makeUnique(PR[In.A]);
-      promoteClass(V, static_cast<MClass>(In.Imm.I));
-      storeDirect(V, static_cast<size_t>(IR[In.B]), FR[In.C]);
+    case Opcode::StoreEl:
+      exec::storeEl(PR[In.A], IR[In.B], FR[In.C],
+                    static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::StoreElChk: {
-      if (!PR[In.A])
-        PR[In.A] = makeValue(Value());
-      Value &V = makeUnique(PR[In.A]);
-      int64_t Idx = IR[In.B];
-      if (Idx < 0)
-        throw MatlabError("subscript indices must be positive integers");
-      if (static_cast<size_t>(Idx) < V.numel()) {
-        promoteClass(V, static_cast<MClass>(In.Imm.I));
-        storeDirect(V, static_cast<size_t>(Idx), FR[In.C]);
-      } else {
-        // Resize-on-write (with oversizing) through the runtime.
-        Value RHS = Value::scalar(FR[In.C]);
-        RHS.setClass(static_cast<MClass>(In.Imm.I));
-        rt::indexAssign1(V, Indexer::single(static_cast<size_t>(Idx)), RHS);
-      }
+    case Opcode::StoreElChk:
+      exec::storeElChk(PR[In.A], IR[In.B], FR[In.C],
+                       static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::StoreEl2: {
-      Value &V = makeUnique(PR[In.A]);
-      promoteClass(V, static_cast<MClass>(In.Imm.I));
-      size_t Idx = static_cast<size_t>(IR[In.C]) * V.rows() +
-                   static_cast<size_t>(IR[In.B]);
-      storeDirect(V, Idx, FR[In.D]);
+    case Opcode::StoreEl2:
+      exec::storeEl2(PR[In.A], IR[In.B], IR[In.C], FR[In.D],
+                     static_cast<MClass>(In.Imm.I));
       break;
-    }
-    case Opcode::StoreEl2Chk: {
-      if (!PR[In.A])
-        PR[In.A] = makeValue(Value());
-      Value &V = makeUnique(PR[In.A]);
-      int64_t R = IR[In.B], C = IR[In.C];
-      if (R < 0 || C < 0)
-        throw MatlabError("subscript indices must be positive integers");
-      if (static_cast<size_t>(R) < V.rows() &&
-          static_cast<size_t>(C) < V.cols()) {
-        promoteClass(V, static_cast<MClass>(In.Imm.I));
-        storeDirect(V, static_cast<size_t>(C) * V.rows() +
-                           static_cast<size_t>(R),
-                    FR[In.D]);
-      } else {
-        Value RHS = Value::scalar(FR[In.D]);
-        RHS.setClass(static_cast<MClass>(In.Imm.I));
-        rt::indexAssign2(V, Indexer::single(static_cast<size_t>(R)),
-                         Indexer::single(static_cast<size_t>(C)), RHS);
-      }
+    case Opcode::StoreEl2Chk:
+      exec::storeEl2Chk(PR[In.A], IR[In.B], IR[In.C], FR[In.D],
+                        static_cast<MClass>(In.Imm.I));
       break;
-    }
 
     case Opcode::LenRows:
       IR[In.A] = static_cast<int64_t>(requireValue(PR[In.B]).rows());
@@ -571,12 +465,9 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
     case Opcode::LenNumel:
       IR[In.A] = static_cast<int64_t>(requireValue(PR[In.B]).numel());
       break;
-    case Opcode::ColSlice: {
-      const Value &V = requireValue(PR[In.B]);
-      PR[In.A] = makeValue(rt::index2(
-          V, Indexer::colon(), Indexer::single(static_cast<size_t>(IR[In.C]))));
+    case Opcode::ColSlice:
+      PR[In.A] = exec::colSlice(PR[In.B], IR[In.C]);
       break;
-    }
 
     case Opcode::MakeRange:
       PR[In.A] = makeValue(Value::range(FR[In.B], FR[In.C], FR[In.D]));
@@ -610,131 +501,58 @@ std::vector<ValuePtr> VM::run(const IRFunction &F, std::vector<ValuePtr> Args,
       break;
     }
 
-    case Opcode::LoadIdxG: {
-      const Value &Base = requireValue(PR[In.B]);
-      std::vector<Indexer> Idx;
-      for (int32_t K = 0; K != In.D; ++K) {
-        int32_t Entry = F.Pool[In.C + K];
-        size_t DimLen = In.D == 1 ? Base.numel()
-                                  : (K == 0 ? Base.rows() : Base.cols());
-        if (Entry < 0)
-          Idx.push_back(Indexer::colon());
-        else
-          Idx.push_back(Indexer::fromValue(requireValue(PR[Entry]), DimLen));
-      }
-      if (In.D == 1)
-        PR[In.A] = makeValue(rt::index1(Base, Idx[0]));
-      else
-        PR[In.A] = makeValue(rt::index2(Base, Idx[0], Idx[1]));
-      break;
-    }
+    case Opcode::LoadIdxG:
     case Opcode::StoreIdxG: {
-      if (!PR[In.A])
-        PR[In.A] = makeValue(Value());
-      Value &Base = makeUnique(PR[In.A]);
-      std::vector<Indexer> Idx;
-      for (int32_t K = 0; K != In.D; ++K) {
-        int32_t Entry = F.Pool[In.C + K];
-        size_t DimLen = In.D == 1 ? Base.numel()
-                                  : (K == 0 ? Base.rows() : Base.cols());
-        if (Entry < 0)
-          Idx.push_back(Indexer::colon());
-        else
-          Idx.push_back(Indexer::fromValue(requireValue(PR[Entry]), DimLen));
-      }
-      if (In.D == 1)
-        rt::indexAssign1(Base, Idx[0], requireValue(PR[In.B]));
+      assert((In.D == 1 || In.D == 2) && "one or two subscripts");
+      const ValuePtr *Subs[2] = {nullptr, nullptr}; // null = ':'
+      for (int32_t K = 0; K != In.D; ++K)
+        if (int32_t Entry = F.Pool[In.C + K]; Entry >= 0)
+          Subs[K] = &PR[Entry];
+      if (In.Op == Opcode::LoadIdxG)
+        PR[In.A] = exec::indexLoad(PR[In.B], Subs, In.D);
       else
-        rt::indexAssign2(Base, Idx[0], Idx[1], requireValue(PR[In.B]));
+        exec::indexAssign(PR[In.A], Subs, In.D, PR[In.B]);
       break;
     }
 
     case Opcode::CallB: {
       int64_t NameId = In.Imm.I & ~kStatementCallFlag;
-      bool Statement = (In.Imm.I & kStatementCallFlag) != 0;
-      const BuiltinDef *Def = Builtins[NameId];
-      if (!Def)
-        throw MatlabError(format("unknown builtin '%s'",
-                                 F.Names[NameId].c_str()));
-      std::vector<ValuePtr> CallArgs = GatherArgs(In.C, In.D);
-      std::vector<const Value *> Ptrs;
-      Ptrs.reserve(CallArgs.size());
-      for (const ValuePtr &V : CallArgs)
-        Ptrs.push_back(V.get());
-      std::vector<Value> Rs = BuiltinTable::call(
-          *Def, Ctx, Ptrs, Statement ? 0 : static_cast<size_t>(In.B));
-      for (int32_t K = 0; K != In.B; ++K) {
-        if (static_cast<size_t>(K) >= Rs.size()) {
-          if (Statement) {
-            PR[F.Pool[In.A + K]] = nullptr; // optional output absent
-            continue;
-          }
-          throw MatlabError(format("builtin '%s' returned too few values",
-                                   Def->Name.c_str()));
-        }
-        PR[F.Pool[In.A + K]] = makeValue(std::move(Rs[K]));
-      }
+      std::vector<const Value *> Args(static_cast<size_t>(In.D));
+      for (int32_t K = 0; K != In.D; ++K)
+        Args[K] = PR[F.Pool[In.C + K]].get();
+      std::vector<Value> Rs =
+          exec::callBuiltin(Ctx, Builtins[NameId], F.Names[NameId].c_str(),
+                            Args, In.B, (In.Imm.I & kStatementCallFlag) != 0);
+      for (int32_t K = 0; K != In.B; ++K)
+        PR[F.Pool[In.A + K]] = exec::builtinOutput(Rs, K);
       break;
     }
     case Opcode::CallU: {
-      int64_t NameId = In.Imm.I & ~kStatementCallFlag;
-      bool Statement = (In.Imm.I & kStatementCallFlag) != 0;
-      std::vector<ValuePtr> CallArgs = GatherArgs(In.C, In.D);
-      std::vector<ValuePtr> Rs = Resolver.callFunction(
-          F.Names[NameId], std::move(CallArgs),
-          Statement ? 0 : static_cast<size_t>(In.B), SourceLoc());
-      for (int32_t K = 0; K != In.B; ++K) {
-        if (static_cast<size_t>(K) >= Rs.size()) {
-          if (Statement) {
-            PR[F.Pool[In.A + K]] = nullptr;
-            continue;
-          }
-          throw MatlabError("not enough output arguments");
-        }
-        PR[F.Pool[In.A + K]] = Rs[K];
-      }
+      const std::string &Name = F.Names[In.Imm.I & ~kStatementCallFlag];
+      std::vector<ValuePtr> Args(static_cast<size_t>(In.D));
+      for (int32_t K = 0; K != In.D; ++K)
+        Args[K] = PR[F.Pool[In.C + K]];
+      auto Call = [&](std::vector<ValuePtr> A, size_t NOut) {
+        return Resolver.callFunction(Name, std::move(A), NOut, SourceLoc());
+      };
+      std::vector<ValuePtr> Rs =
+          exec::callFunction(Call, std::move(Args), In.B,
+                             (In.Imm.I & kStatementCallFlag) != 0);
+      for (int32_t K = 0; K != In.B; ++K)
+        PR[F.Pool[In.A + K]] = std::move(Rs[K]);
       break;
     }
 
     case Opcode::Display:
-      // A null register is an absent optional output: nothing to display.
-      if (PR[In.A])
-        Ctx.print(rt::displayValue(*PR[In.A], F.Names[In.Imm.I]));
+      exec::display(Ctx, PR[In.A], F.Names[In.Imm.I]);
       break;
 
-    case Opcode::Gemv: {
-      const Value &A = requireValue(PR[In.B]);
-      const Value &X = requireValue(PR[In.C]);
-      if (!A.isComplex() && !X.isComplex() && X.isColVector() &&
-          A.cols() == X.rows()) {
-        Value Y = Value::zeros(A.rows(), 1);
-        blas::dgemv(A.rows(), A.cols(), 1.0, A.reData(), X.reData(), 0.0,
-                    Y.reData());
-        PR[In.A] = makeValue(std::move(Y));
-      } else {
-        PR[In.A] = makeValue(rt::binary(rt::BinOp::MatMul, A, X));
-      }
+    case Opcode::Gemv:
+      PR[In.A] = exec::gemv(PR[In.B], PR[In.C]);
       break;
-    }
-    case Opcode::Axpy: {
-      const Value &X = requireValue(PR[In.C]);
-      const Value &Y = requireValue(PR[In.D]);
-      if (!X.isComplex() && !Y.isComplex() && X.rows() == Y.rows() &&
-          X.cols() == Y.cols()) {
-        // Single pass: write a*x + y straight into a fresh array instead of
-        // copying Y and updating it in place (daxpyz rounds the multiply
-        // and add separately, exactly like the interpreter's two-op form).
-        Value Out = Value::zeros(X.rows(), X.cols());
-        blas::daxpyz(X.numel(), FR[In.B], X.reData(), Y.reData(),
-                     Out.reData());
-        PR[In.A] = makeValue(std::move(Out));
-      } else {
-        Value Scaled = rt::binary(rt::BinOp::MatMul,
-                                  Value::scalar(FR[In.B]), X);
-        PR[In.A] = makeValue(rt::binary(rt::BinOp::Add, Scaled, Y));
-      }
+    case Opcode::Axpy:
+      PR[In.A] = exec::axpy(FR[In.B], PR[In.C], PR[In.D]);
       break;
-    }
 
     case Opcode::EwFuse:
       PR[In.A] = makeValue(runEwFuse(F, In, PR));

@@ -499,8 +499,8 @@ void TypeCalculator::registerArithmeticRules() {
       double Span = (Hi.range().Lo - Lo.range().Hi) / StepHi;
       MinN = Span < 0 ? 0 : static_cast<uint64_t>(std::floor(Span)) + 1;
     }
-    return std::pair<ShapeBound, ShapeBound>{{MinN == 0 ? 0 : 1, MinN},
-                                             {MaxN == 0 ? 0 : 1, MaxN}};
+    return std::pair<ShapeBound, ShapeBound>{
+        {MinN == 0 ? 0u : 1u, MinN}, {MaxN == 0 ? 0u : 1u, MaxN}};
   };
   addBuiltin(
       "__colon", "colon:int",

@@ -45,13 +45,10 @@ private:
   /// Variable access through the dynamic symbol table: MATLAB 6 resolved
   /// every occurrence by name at runtime, so the faithful front end pays a
   /// hash lookup per access (Section 2.1). The value storage stays in the
-  /// slot file either way.
+  /// slot file.
   ValuePtr &varAccess(const std::string &Name, int SlotIdx) {
-    if (I.DynamicNameLookup) {
-      auto [It, Inserted] = DynTable.try_emplace(Name, SlotIdx);
-      return slot(It->second);
-    }
-    return slot(SlotIdx);
+    auto [It, Inserted] = DynTable.try_emplace(Name, SlotIdx);
+    return slot(It->second);
   }
 
   ValuePtr evalIdent(const IdentExpr *Id);
@@ -74,7 +71,7 @@ private:
   const Value *EndBase = nullptr;
   size_t EndLen = 0;
 
-  /// The dynamic symbol table (name -> slot) used in faithful mode.
+  /// The dynamic symbol table (name -> slot).
   std::unordered_map<std::string, int> DynTable;
 };
 
@@ -502,7 +499,7 @@ ValuePtr InterpFrame::evalExpr(const Expr *E) {
   case Expr::Kind::Unary: {
     const auto *U = cast<UnaryExpr>(E);
     ValuePtr V = evalExpr(U->operand());
-    rt::UnOp Op;
+    rt::UnOp Op = rt::UnOp::Neg;
     switch (U->op()) {
     case UnaryOpKind::Neg:
       Op = rt::UnOp::Neg;

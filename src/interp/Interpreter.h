@@ -26,15 +26,12 @@ namespace majic {
 
 class Interpreter {
 public:
-  /// \p DynamicNameLookup reproduces the MATLAB-6 interpreter's dynamic
-  /// symbol table (Section 2.1: a symbol is a variable "if it has an entry
-  /// in the dynamic symbol table of the interpreter"): every variable
-  /// access pays a name-hash lookup, as the original front end did. Turning
-  /// it off uses pre-resolved slots directly (a faster-than-MATLAB
-  /// interpreter, useful for harness comparisons).
-  Interpreter(Context &Ctx, CallResolver &Resolver,
-              bool DynamicNameLookup = true)
-      : Ctx(Ctx), Resolver(Resolver), DynamicNameLookup(DynamicNameLookup) {}
+  /// The interpreter reproduces the MATLAB-6 interpreter's dynamic symbol
+  /// table (Section 2.1: a symbol is a variable "if it has an entry in the
+  /// dynamic symbol table of the interpreter"): every variable access pays
+  /// a name-hash lookup, as the original front end did.
+  Interpreter(Context &Ctx, CallResolver &Resolver)
+      : Ctx(Ctx), Resolver(Resolver) {}
 
   /// Executes the disambiguated function \p F with \p Args, returning
   /// \p NumOuts outputs. Throws MatlabError on runtime errors (bad
@@ -50,7 +47,6 @@ private:
   friend class InterpFrame;
   Context &Ctx;
   CallResolver &Resolver;
-  bool DynamicNameLookup;
 };
 
 } // namespace majic

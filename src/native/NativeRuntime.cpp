@@ -4,18 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Boxes, the callback table, the setjmp/longjmp error trampoline, and the
-// C prelude. Every callback body mirrors the corresponding VM.cpp opcode
-// case verbatim (through the helpers both share in backend/ExecShared.h),
-// so the two tiers produce bit-identical values and byte-identical error
-// messages.
-//
-// Shim discipline: a callback does all C++ work inside a try block
-// (delegating anything nontrivial to a host* helper so the C++ unwinder
-// cleans up its locals), parks the exception in the frame, and only then
-// longjmps - at that point the shim's own frame holds no live object with
-// a destructor, so the jump crosses plain-C frames only, which C++
-// explicitly permits.
+// The C ABI of the native tier: boxes and their write caches, the callback
+// table, va_arg unpacking, the setjmp/longjmp error trampoline, and the C
+// prelude. What an op does is decided elsewhere: a callback that shares an
+// opcode with the VM calls the same exec:: body (backend/ExecShared.h owns
+// the checks, fast paths and error text), so the tiers agree bit for bit
+// by construction. A shim only maps ABI pointers to registers, runs the
+// body, and boxes or re-caches the result - under guarded(), whose longjmp
+// crosses only plain-C frames once the C++ unwinder is done.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +19,6 @@
 
 #include "backend/ExecShared.h"
 #include "obs/Trace.h"
-#include "runtime/Blas.h"
 #include "runtime/Builtins.h"
 #include "runtime/Context.h"
 #include "runtime/Ops.h"
@@ -31,14 +26,12 @@
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
 
-#include <cmath>
 #include <csetjmp>
 #include <cstdarg>
 #include <deque>
 
 using namespace majic;
 using namespace majic::native;
-using rt::Indexer;
 
 // The prelude bakes these numeric values into generated C (mlfPlus -> 0,
 // klass 3 = complex, ...); a drifted enum must fail the build, not
@@ -72,6 +65,7 @@ struct NativeFrame {
   NativeFrame *Prev = nullptr;
 
   MxPub *box(ValuePtr P);
+  Box *slot(MxPub **PP);
 };
 
 /// The active frame of this thread; a chain through Prev supports native
@@ -92,9 +86,9 @@ MxPub *pubOf(Box *B) { return &B->Pub; }
 /// Recomputes a box's public prefix from its Value. The write-cache class
 /// is valid only while this box holds the sole reference (no copy-on-
 /// write needed) and the class is at most Real (no imaginary half to
-/// clear, no string guard) - exactly the preconditions under which the
-/// VM's StoreEl sequence (makeUnique + promoteClass + storeDirect)
-/// degenerates to one array store.
+/// clear, no string guard) - exactly the preconditions under which
+/// exec::storeEl (makeUnique + promoteClass + element store) degenerates to
+/// one array store.
 void refresh(Box *B) {
   Value &V = *B->V;
   B->Pub.Re = V.reData();
@@ -117,480 +111,241 @@ MxPub *NativeFrame::box(ValuePtr P) {
   return pubOf(&B);
 }
 
-/// The requireValue twin for ABI pointers.
-Value &val(MxPub *P) {
-  if (!P)
-    throw MatlabError("internal: use of an empty value register");
-  return *boxOf(P)->V;
+/// The box behind a register an exec:: body writes. An absent register
+/// gets a box holding null, so the body alone decides - as in the VM -
+/// whether absence is an error or an empty array to grow; a body that
+/// returns has always stored a value, and the shim then refreshes the box.
+Box *NativeFrame::slot(MxPub **PP) {
+  if (!*PP) {
+    Boxes.emplace_back();
+    *PP = pubOf(&Boxes.back());
+  }
+  return boxOf(*PP);
 }
 
-//===----------------------------------------------------------------------===//
-// Helpers for the variadic callbacks. These run under the shim's try
-// block, so they may use C++ freely - exceptions unwind their frames
-// normally before the shim longjmps.
-//===----------------------------------------------------------------------===//
+/// The register behind an ABI pointer; a null pointer is an unassigned one.
+const ValuePtr kUnassigned;
+const ValuePtr &reg(MxPub *P) { return P ? boxOf(P)->V : kUnassigned; }
 
-MxPub *hostCat(NativeFrame *Fr, int Horz, int N, va_list Ap) {
-  std::vector<const Value *> Parts;
-  Parts.reserve(static_cast<size_t>(N));
-  for (int K = 0; K != N; ++K)
-    Parts.push_back(&val(va_arg(Ap, MxPub *)));
-  return Fr->box(
-      makeValue(Horz ? rt::horzcat(Parts) : rt::vertcat(Parts)));
-}
+Value &val(MxPub *P) { return exec::requireValue(reg(P)); }
 
-std::vector<Indexer> gatherIndexers(const Value &Base, int N, va_list Ap) {
-  MxPub *Ents[2] = {nullptr, nullptr};
+/// Reads N subscripts off the list as exec:: subscripts (null = ':').
+void unpackSubscripts(int N, va_list Ap, const ValuePtr *Subs[2]) {
   if (N < 1 || N > 2)
     throw MatlabError("internal: bad native index arity");
-  for (int K = 0; K != N; ++K)
-    Ents[K] = va_arg(Ap, MxPub *);
-  std::vector<Indexer> Idx;
   for (int K = 0; K != N; ++K) {
-    size_t DimLen =
-        N == 1 ? Base.numel() : (K == 0 ? Base.rows() : Base.cols());
-    if (Ents[K] == kColonSentinel)
-      Idx.push_back(Indexer::colon());
-    else
-      Idx.push_back(Indexer::fromValue(val(Ents[K]), DimLen));
+    MxPub *E = va_arg(Ap, MxPub *);
+    Subs[K] = E == kColonSentinel ? nullptr : &reg(E);
   }
-  return Idx;
 }
 
-MxPub *hostIndexLoad(NativeFrame *Fr, MxPub *BaseP, int N, va_list Ap) {
-  const Value &Base = val(BaseP);
-  std::vector<Indexer> Idx = gatherIndexers(Base, N, Ap);
-  return Fr->box(makeValue(N == 1 ? rt::index1(Base, Idx[0])
-                                  : rt::index2(Base, Idx[0], Idx[1])));
-}
-
-void hostIndexAssign(NativeFrame *Fr, MxPub **BasePP, MxPub *RhsP, int N,
-                     va_list Ap) {
-  if (!*BasePP)
-    *BasePP = Fr->box(makeValue(Value()));
-  Box *B = boxOf(*BasePP);
-  Value &Base = makeUnique(B->V);
-  std::vector<Indexer> Idx = gatherIndexers(Base, N, Ap);
-  if (N == 1)
-    rt::indexAssign1(Base, Idx[0], val(RhsP));
-  else
-    rt::indexAssign2(Base, Idx[0], Idx[1], val(RhsP));
-  refresh(B);
-}
-
-MxPub *hostEwAlloc(NativeFrame *Fr, int NOps, va_list Ap) {
-  std::vector<const Value *> Ops(static_cast<size_t>(NOps));
-  for (int K = 0; K != NOps; ++K) {
-    MxPub *P = va_arg(Ap, MxPub *);
-    Ops[K] = P ? boxOf(P)->V.get() : nullptr;
-  }
-  int Len = va_arg(Ap, int);
-  const int *Prog = va_arg(Ap, const int *);
-  exec::EwPlan Plan =
-      exec::ewSimulate(Ops.data(), NOps, Prog, static_cast<size_t>(Len));
-  return Fr->box(makeValue(Value::uninit(Plan.Rows, Plan.Cols, Plan.Class)));
-}
-
-void hostCallBuiltin(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
-                     va_list Ap) {
+/// Reads a call's destination slots off the list.
+std::vector<MxPub **> unpackDsts(int NDsts, va_list Ap) {
   std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K)
-    Dsts[K] = va_arg(Ap, MxPub **);
-  int NArgs = va_arg(Ap, int);
-  std::vector<const Value *> Ptrs;
-  Ptrs.reserve(static_cast<size_t>(NArgs));
-  for (int K = 0; K != NArgs; ++K) {
-    MxPub *P = va_arg(Ap, MxPub *);
-    if (!P)
-      throw MatlabError("internal: null argument value");
-    Ptrs.push_back(boxOf(P)->V.get());
-  }
-  const BuiltinDef *Def = BuiltinTable::instance().lookup(Name);
-  if (!Def)
-    throw MatlabError(format("unknown builtin '%s'", Name));
-  std::vector<Value> Rs = BuiltinTable::call(
-      *Def, *Fr->Ctx, Ptrs, Stmt ? 0 : static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K) {
-    if (static_cast<size_t>(K) >= Rs.size()) {
-      if (Stmt) {
-        *Dsts[K] = nullptr; // optional output absent
-        continue;
-      }
-      throw MatlabError(
-          format("builtin '%s' returned too few values", Def->Name.c_str()));
-    }
-    *Dsts[K] = Fr->box(makeValue(std::move(Rs[K])));
-  }
-}
-
-void hostCallFunction(NativeFrame *Fr, const char *Name, int Stmt, int NDsts,
-                      va_list Ap) {
-  std::vector<MxPub **> Dsts(static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K)
-    Dsts[K] = va_arg(Ap, MxPub **);
-  int NArgs = va_arg(Ap, int);
-  std::vector<MxPub *> ArgPs(static_cast<size_t>(NArgs));
-  std::vector<ValuePtr> CallArgs;
-  CallArgs.reserve(static_cast<size_t>(NArgs));
-  for (int K = 0; K != NArgs; ++K) {
-    ArgPs[K] = va_arg(Ap, MxPub *);
-    if (!ArgPs[K])
-      throw MatlabError("internal: null argument value");
-    CallArgs.push_back(boxOf(ArgPs[K])->V);
-  }
-  std::vector<ValuePtr> Rs = Fr->Host->callFunction(
-      Name, std::move(CallArgs), Stmt ? 0 : static_cast<size_t>(NDsts));
-  for (int K = 0; K != NDsts; ++K) {
-    if (static_cast<size_t>(K) >= Rs.size()) {
-      if (Stmt) {
-        *Dsts[K] = nullptr;
-        continue;
-      }
-      throw MatlabError("not enough output arguments");
-    }
-    *Dsts[K] = Fr->box(Rs[K]);
-  }
-  // The callee may have retained references to the arguments (their
-  // use counts changed under us): recompute the write caches.
-  for (int K = 0; K != NArgs; ++K)
-    refresh(boxOf(ArgPs[K]));
+  for (MxPub **&D : Dsts)
+    D = va_arg(Ap, MxPub **);
+  return Dsts;
 }
 
 //===----------------------------------------------------------------------===//
-// The callbacks. MLF_SHIM_END is the error trampoline tail: by the time
-// the longjmp runs, the catch has finished and the shim frame holds only
-// trivially destructible locals.
+// The callbacks.
 //===----------------------------------------------------------------------===//
 
-#define MLF_SHIM_END                                                           \
+/// The error trampoline: runs a callback's body, parks an escaping
+/// exception in the frame, and only then longjmps. By that point the catch
+/// has finished and neither this frame nor the shim's holds an object with
+/// a destructor (bodies capture by reference).
+template <typename BodyFn> auto guarded(BodyFn &&Body) {
+  NativeFrame *Fr = CurFrame;
+  try {
+    return Body(Fr);
+  } catch (...) {
+    Fr->Err = std::current_exception();
+  }
+  std::longjmp(Fr->Jb, 1);
+}
+
+/// The same tail for the variadic callbacks, which close their argument
+/// list themselves: the locals of the shim's try block are gone by then.
+#define MLF_VA_SHIM_END                                                        \
   catch (...) { Fr->Err = std::current_exception(); }                          \
+  va_end(Ap);                                                                  \
   std::longjmp(Fr->Jb, 1)
 
 MxPub *shimBoxF(double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeScalar(X));
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *Fr) { return Fr->box(makeScalar(X)); });
 }
 
 MxPub *shimBoxI(long long X) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) {
     return Fr->box(makeValue(Value::intScalar(static_cast<double>(X))));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimBoxB(long long X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeBool(X != 0));
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *Fr) { return Fr->box(makeBool(X != 0)); });
 }
 
 MxPub *shimBoxC(double Re, double Im) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) {
     return Fr->box(makeValue(Value::complexScalar(Re, Im)));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimStringConst(const char *S) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(Value::str(S)));
-  }
-  MLF_SHIM_END;
+  return guarded(
+      [&](NativeFrame *Fr) { return Fr->box(makeValue(Value::str(S))); });
 }
 
 MxPub *shimRetain(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) -> MxPub * {
     if (!P)
       return nullptr;
-    Box *Old = boxOf(P);
-    MxPub *Copy = Fr->box(Old->V);
-    refresh(Old); // now shared: both boxes drop to slow-path stores
+    MxPub *Copy = Fr->box(boxOf(P)->V);
+    refresh(boxOf(P)); // now shared: both boxes drop to slow-path stores
     return Copy;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 double shimGetScalar(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return exec::requireRealData(val(P)).scalarValue();
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *) { return exec::unboxReal(reg(P)); });
 }
 
 long long shimGetIntScalar(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    double X = exec::requireRealData(val(P)).scalarValue();
-    double R = std::round(X);
-    if (std::abs(X - R) > 1e-8)
-      throw MatlabError(format("expected an integer value, got %g", X));
-    return static_cast<long long>(R);
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *) -> long long {
+    return exec::unboxInt(reg(P));
+  });
 }
 
 void shimGetComplex(MxPub *P, double *Re, double *Im) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &V = val(P);
-    if (!V.isScalar())
-      throw MatlabError("expected a scalar value");
-    *Re = V.re(0);
-    *Im = V.im(0);
-    return;
-  }
-  MLF_SHIM_END;
+  guarded([&](NativeFrame *) { exec::unboxReIm(reg(P), *Re, *Im); });
 }
 
 long long shimIsTrue(MxPub *P) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return val(P).isTrue() ? 1 : 0;
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *) { return val(P).isTrue() ? 1LL : 0LL; });
 }
 
 long long shimCheckSubscript(double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *) {
     return static_cast<long long>(rt::checkSubscript(X));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 void shimCheckDefined(MxPub *P, const char *Name) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    if (!P)
-      throw MatlabError(
-          format("undefined function or variable '%s'", Name));
-    return;
-  }
-  MLF_SHIM_END;
+  guarded([&](NativeFrame *) { exec::checkDefined(reg(P), Name); });
 }
 
 double shimGuard(int Intr, double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *) {
     exec::checkIntrinsicGuard(static_cast<ScalarIntrinsic>(Intr), X);
     return X;
-  }
-  MLF_SHIM_END;
+  });
 }
 
-double shimPowDeopt(double X, double Y) {
-  NativeFrame *Fr = CurFrame;
-  (void)Y;
-  try {
-    // Negative base, non-integral exponent: the result is complex, which
-    // generated code cannot represent - replay in the general tiers.
+double shimPowDeopt(double X, double /*Y*/) {
+  // Negative base, non-integral exponent: the result is complex, which
+  // generated code cannot represent - replay in the general tiers.
+  return guarded([&](NativeFrame *) -> double {
     throw DeoptError{ScalarIntrinsic::None, X};
-  }
-  MLF_SHIM_END;
+  });
 }
 
 double *shimDeoptComplex(void) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *) -> double * {
     throw DeoptError{ScalarIntrinsic::None, 0.0};
-  }
-  MLF_SHIM_END;
+  });
 }
 
 long long shimNullLen(void) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    throw MatlabError("internal: use of an empty value register");
-  }
-  MLF_SHIM_END;
+  return guarded(
+      [&](NativeFrame *) -> long long { exec::throwEmptyRegister(); });
 }
 
 MxPub *shimZeros(long long R, long long C, int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    long long Rc = R < 0 ? 0 : R, Cc = C < 0 ? 0 : C;
-    return Fr->box(makeValue(Value::zeros(static_cast<size_t>(Rc),
-                                          static_cast<size_t>(Cc),
-                                          static_cast<MClass>(Klass))));
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *Fr) {
+    return Fr->box(exec::newMat(R, C, static_cast<MClass>(Klass)));
+  });
 }
 
 void shimFill(MxPub *P, double X) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    val(P); // null check with the VM's error
-    Box *B = boxOf(P);
-    Value &V = makeUnique(B->V);
-    std::fill(V.reData(), V.reData() + V.numel(), X);
+  guarded([&](NativeFrame *Fr) {
+    Box *B = Fr->slot(&P);
+    exec::fill(B->V, X);
     refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 double shimLoadChk(MxPub *P, long long I) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &V = exec::requireRealData(val(P));
-    if (I < 0 || static_cast<size_t>(I) >= V.numel())
-      throw MatlabError(format("index out of bounds: %lld exceeds numel %zu",
-                               static_cast<long long>(I + 1), V.numel()));
-    return V.re(static_cast<size_t>(I));
-  }
-  MLF_SHIM_END;
+  return guarded([&](NativeFrame *) { return exec::loadElChk(reg(P), I); });
 }
 
 double shimLoad2Chk(MxPub *P, long long R, long long C) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &V = exec::requireRealData(val(P));
-    if (R < 0 || C < 0 || static_cast<size_t>(R) >= V.rows() ||
-        static_cast<size_t>(C) >= V.cols())
-      throw MatlabError(format("index (%lld, %lld) out of bounds for "
-                               "%zux%zu matrix",
-                               static_cast<long long>(R + 1),
-                               static_cast<long long>(C + 1), V.rows(),
-                               V.cols()));
-    return V.at(static_cast<size_t>(R), static_cast<size_t>(C));
-  }
-  MLF_SHIM_END;
+  return guarded(
+      [&](NativeFrame *) { return exec::loadEl2Chk(reg(P), R, C); });
 }
 
 void shimStoreSlow(MxPub **PP, long long I, double X, int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    val(*PP);
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    exec::promoteClass(V, static_cast<MClass>(Klass));
-    exec::storeDirect(V, static_cast<size_t>(I), X);
+  guarded([&](NativeFrame *Fr) {
+    Box *B = Fr->slot(PP);
+    exec::storeEl(B->V, I, X, static_cast<MClass>(Klass));
     refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 void shimStoreGrow(MxPub **PP, long long I, double X, int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    if (!*PP)
-      *PP = Fr->box(makeValue(Value()));
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    if (I < 0)
-      throw MatlabError("subscript indices must be positive integers");
-    if (static_cast<size_t>(I) < V.numel()) {
-      exec::promoteClass(V, static_cast<MClass>(Klass));
-      exec::storeDirect(V, static_cast<size_t>(I), X);
-    } else {
-      Value RHS = Value::scalar(X);
-      RHS.setClass(static_cast<MClass>(Klass));
-      rt::indexAssign1(V, Indexer::single(static_cast<size_t>(I)), RHS);
-    }
+  guarded([&](NativeFrame *Fr) {
+    Box *B = Fr->slot(PP);
+    exec::storeElChk(B->V, I, X, static_cast<MClass>(Klass));
     refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 void shimStore2Slow(MxPub **PP, long long R, long long C, double X,
                     int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    val(*PP);
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    exec::promoteClass(V, static_cast<MClass>(Klass));
-    exec::storeDirect(V,
-                      static_cast<size_t>(C) * V.rows() +
-                          static_cast<size_t>(R),
-                      X);
+  guarded([&](NativeFrame *Fr) {
+    Box *B = Fr->slot(PP);
+    exec::storeEl2(B->V, R, C, X, static_cast<MClass>(Klass));
     refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 void shimStore2Grow(MxPub **PP, long long R, long long C, double X,
                     int Klass) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    if (!*PP)
-      *PP = Fr->box(makeValue(Value()));
-    Box *B = boxOf(*PP);
-    Value &V = makeUnique(B->V);
-    if (R < 0 || C < 0)
-      throw MatlabError("subscript indices must be positive integers");
-    if (static_cast<size_t>(R) < V.rows() &&
-        static_cast<size_t>(C) < V.cols()) {
-      exec::promoteClass(V, static_cast<MClass>(Klass));
-      exec::storeDirect(V,
-                        static_cast<size_t>(C) * V.rows() +
-                            static_cast<size_t>(R),
-                        X);
-    } else {
-      Value RHS = Value::scalar(X);
-      RHS.setClass(static_cast<MClass>(Klass));
-      rt::indexAssign2(V, Indexer::single(static_cast<size_t>(R)),
-                       Indexer::single(static_cast<size_t>(C)), RHS);
-    }
+  guarded([&](NativeFrame *Fr) {
+    Box *B = Fr->slot(PP);
+    exec::storeEl2Chk(B->V, R, C, X, static_cast<MClass>(Klass));
     refresh(B);
-    return;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimRtBin(int Op, MxPub *A, MxPub *B) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) {
     return Fr->box(makeValue(
         rt::binary(static_cast<rt::BinOp>(Op), val(A), val(B))));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimRtUn(int Op, MxPub *A) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) {
     return Fr->box(makeValue(rt::unary(static_cast<rt::UnOp>(Op), val(A))));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimColSlice(MxPub *P, long long C) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    return Fr->box(makeValue(rt::index2(
-        val(P), Indexer::colon(), Indexer::single(static_cast<size_t>(C)))));
-  }
-  MLF_SHIM_END;
+  return guarded(
+      [&](NativeFrame *Fr) { return Fr->box(exec::colSlice(reg(P), C)); });
 }
 
 MxPub *shimRange3(double A, double S, double B) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) {
     return Fr->box(makeValue(Value::range(A, S, B)));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimColonV(MxPub *A, MxPub *S, MxPub *B) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  return guarded([&](NativeFrame *Fr) {
     return Fr->box(makeValue(rt::colon(val(A), val(S), val(B))));
-  }
-  MLF_SHIM_END;
+  });
 }
 
 MxPub *shimCat(int Horz, int N, ...) {
@@ -598,14 +353,15 @@ MxPub *shimCat(int Horz, int N, ...) {
   va_list Ap;
   va_start(Ap, N);
   try {
-    MxPub *R = hostCat(Fr, Horz, N, Ap);
+    std::vector<const Value *> Parts(static_cast<size_t>(N));
+    for (const Value *&P : Parts)
+      P = &val(va_arg(Ap, MxPub *));
+    MxPub *R =
+        Fr->box(makeValue(Horz ? rt::horzcat(Parts) : rt::vertcat(Parts)));
     va_end(Ap);
     return R;
-  } catch (...) {
-    Fr->Err = std::current_exception();
   }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+  MLF_VA_SHIM_END;
 }
 
 MxPub *shimIndexLoad(MxPub *Base, int N, ...) {
@@ -613,14 +369,13 @@ MxPub *shimIndexLoad(MxPub *Base, int N, ...) {
   va_list Ap;
   va_start(Ap, N);
   try {
-    MxPub *R = hostIndexLoad(Fr, Base, N, Ap);
+    const ValuePtr *Subs[2] = {nullptr, nullptr};
+    unpackSubscripts(N, Ap, Subs);
+    MxPub *R = Fr->box(exec::indexLoad(reg(Base), Subs, N));
     va_end(Ap);
     return R;
-  } catch (...) {
-    Fr->Err = std::current_exception();
   }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+  MLF_VA_SHIM_END;
 }
 
 void shimIndexAssign(MxPub **Base, MxPub *Rhs, int N, ...) {
@@ -628,14 +383,15 @@ void shimIndexAssign(MxPub **Base, MxPub *Rhs, int N, ...) {
   va_list Ap;
   va_start(Ap, N);
   try {
-    hostIndexAssign(Fr, Base, Rhs, N, Ap);
+    const ValuePtr *Subs[2] = {nullptr, nullptr};
+    unpackSubscripts(N, Ap, Subs);
+    Box *B = Fr->slot(Base);
+    exec::indexAssign(B->V, Subs, N, reg(Rhs));
+    refresh(B);
     va_end(Ap);
     return;
-  } catch (...) {
-    Fr->Err = std::current_exception();
   }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+  MLF_VA_SHIM_END;
 }
 
 MxPub *shimEwAlloc(int NOps, ...) {
@@ -643,48 +399,30 @@ MxPub *shimEwAlloc(int NOps, ...) {
   va_list Ap;
   va_start(Ap, NOps);
   try {
-    MxPub *R = hostEwAlloc(Fr, NOps, Ap);
+    std::vector<const Value *> Ops(static_cast<size_t>(NOps));
+    for (const Value *&P : Ops)
+      P = reg(va_arg(Ap, MxPub *)).get();
+    int Len = va_arg(Ap, int);
+    const int *Prog = va_arg(Ap, const int *);
+    exec::EwPlan Plan =
+        exec::ewSimulate(Ops.data(), NOps, Prog, static_cast<size_t>(Len));
+    MxPub *R =
+        Fr->box(makeValue(Value::uninit(Plan.Rows, Plan.Cols, Plan.Class)));
     va_end(Ap);
     return R;
-  } catch (...) {
-    Fr->Err = std::current_exception();
   }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+  MLF_VA_SHIM_END;
 }
 
-MxPub *shimGemv(MxPub *AP, MxPub *XP) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &A = val(AP);
-    const Value &X = val(XP);
-    if (!A.isComplex() && !X.isComplex() && X.isColVector() &&
-        A.cols() == X.rows()) {
-      Value Y = Value::zeros(A.rows(), 1);
-      blas::dgemv(A.rows(), A.cols(), 1.0, A.reData(), X.reData(), 0.0,
-                  Y.reData());
-      return Fr->box(makeValue(std::move(Y)));
-    }
-    return Fr->box(makeValue(rt::binary(rt::BinOp::MatMul, A, X)));
-  }
-  MLF_SHIM_END;
+MxPub *shimGemv(MxPub *A, MxPub *X) {
+  return guarded(
+      [&](NativeFrame *Fr) { return Fr->box(exec::gemv(reg(A), reg(X))); });
 }
 
-MxPub *shimAxpy(double A, MxPub *XP, MxPub *YP) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    const Value &X = val(XP);
-    const Value &Y = val(YP);
-    if (!X.isComplex() && !Y.isComplex() && X.rows() == Y.rows() &&
-        X.cols() == Y.cols()) {
-      Value Out = Value::zeros(X.rows(), X.cols());
-      blas::daxpyz(X.numel(), A, X.reData(), Y.reData(), Out.reData());
-      return Fr->box(makeValue(std::move(Out)));
-    }
-    Value Scaled = rt::binary(rt::BinOp::MatMul, Value::scalar(A), X);
-    return Fr->box(makeValue(rt::binary(rt::BinOp::Add, Scaled, Y)));
-  }
-  MLF_SHIM_END;
+MxPub *shimAxpy(double A, MxPub *X, MxPub *Y) {
+  return guarded([&](NativeFrame *Fr) {
+    return Fr->box(exec::axpy(A, reg(X), reg(Y)));
+  });
 }
 
 void shimCallBuiltin(const char *Name, int Stmt, int NDsts, ...) {
@@ -692,14 +430,19 @@ void shimCallBuiltin(const char *Name, int Stmt, int NDsts, ...) {
   va_list Ap;
   va_start(Ap, NDsts);
   try {
-    hostCallBuiltin(Fr, Name, Stmt, NDsts, Ap);
+    std::vector<MxPub **> Dsts = unpackDsts(NDsts, Ap);
+    std::vector<const Value *> Args(static_cast<size_t>(va_arg(Ap, int)));
+    for (const Value *&A : Args)
+      A = reg(va_arg(Ap, MxPub *)).get();
+    std::vector<Value> Rs =
+        exec::callBuiltin(*Fr->Ctx, BuiltinTable::instance().lookup(Name),
+                          Name, Args, NDsts, Stmt != 0);
+    for (int K = 0; K != NDsts; ++K)
+      *Dsts[K] = Fr->box(exec::builtinOutput(Rs, K));
     va_end(Ap);
     return;
-  } catch (...) {
-    Fr->Err = std::current_exception();
   }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+  MLF_VA_SHIM_END;
 }
 
 void shimCallFunction(const char *Name, int Stmt, int NDsts, ...) {
@@ -707,34 +450,39 @@ void shimCallFunction(const char *Name, int Stmt, int NDsts, ...) {
   va_list Ap;
   va_start(Ap, NDsts);
   try {
-    hostCallFunction(Fr, Name, Stmt, NDsts, Ap);
+    std::vector<MxPub **> Dsts = unpackDsts(NDsts, Ap);
+    std::vector<MxPub *> ArgPs(static_cast<size_t>(va_arg(Ap, int)));
+    std::vector<ValuePtr> Args;
+    Args.reserve(ArgPs.size());
+    for (MxPub *&P : ArgPs) {
+      P = va_arg(Ap, MxPub *);
+      Args.push_back(reg(P));
+    }
+    auto Call = [&](std::vector<ValuePtr> A, size_t NOut) {
+      return Fr->Host->callFunction(Name, std::move(A), NOut);
+    };
+    std::vector<ValuePtr> Rs =
+        exec::callFunction(Call, std::move(Args), NDsts, Stmt != 0);
+    for (int K = 0; K != NDsts; ++K)
+      *Dsts[K] = Fr->box(std::move(Rs[K]));
+    // The callee may have retained references to the arguments (their
+    // use counts changed under us): recompute the write caches.
+    for (MxPub *P : ArgPs)
+      refresh(boxOf(P));
     va_end(Ap);
     return;
-  } catch (...) {
-    Fr->Err = std::current_exception();
   }
-  va_end(Ap);
-  std::longjmp(Fr->Jb, 1);
+  MLF_VA_SHIM_END;
 }
 
 void shimDisplay(MxPub *P, const char *Name) {
-  NativeFrame *Fr = CurFrame;
-  try {
-    // A null register is an absent optional output: nothing to display.
-    if (P)
-      Fr->Ctx->print(rt::displayValue(*boxOf(P)->V, Name));
-    return;
-  }
-  MLF_SHIM_END;
+  guarded([&](NativeFrame *Fr) { exec::display(*Fr->Ctx, reg(P), Name); });
 }
 
 void shimPoll(long long N) {
-  NativeFrame *Fr = CurFrame;
-  try {
+  guarded([&](NativeFrame *Fr) {
     Fr->Ctx->Exec.consume(static_cast<uint64_t>(N));
-    return;
-  }
-  MLF_SHIM_END;
+  });
 }
 
 /// Minimal-frame setjmp wrapper: keeping the setjmp in a function whose
@@ -799,24 +547,10 @@ std::vector<ValuePtr> majic::native::runNative(
     throw DeoptError{ScalarIntrinsic::None, 0.0};
   }
 
-  // VM::run's Ret semantics, verbatim.
-  if (NumOuts == 0) {
-    if (FnNumOuts > 0 && OutPs[0])
-      return {boxOf(OutPs[0])->V};
-    return {};
-  }
-  if (NumOuts > std::max<size_t>(FnNumOuts, 1))
-    throw MatlabError(
-        format("too many output arguments from '%s'", Name.c_str()));
-  std::vector<ValuePtr> Outs;
-  Outs.reserve(NumOuts);
-  for (size_t K = 0; K != NumOuts; ++K) {
-    if (K >= FnNumOuts || !OutPs[K])
-      throw MatlabError(format("output argument %zu of '%s' not assigned",
-                               K + 1, Name.c_str()));
-    Outs.push_back(boxOf(OutPs[K])->V);
-  }
-  return Outs;
+  std::vector<ValuePtr> Outs(FnNumOuts);
+  for (size_t K = 0; K != FnNumOuts; ++K)
+    Outs[K] = reg(OutPs[K]);
+  return exec::returnOutputs(std::move(Outs), NumOuts, Name);
 }
 
 const std::string &majic::native::preludeSource() {

@@ -260,21 +260,22 @@ bool SessionManager::destroySession(SessionId Id) {
 }
 
 std::future<Reply> SessionManager::submit(SessionId Id, std::string Text) {
-  std::promise<Reply> Rejected;
-  std::future<Reply> F = Rejected.get_future();
+  // Every rejection is counted once and answered by an already-resolved
+  // future; accepted requests return the queued request's future instead.
+  auto reject = [this](Reply::Status St,
+                       Reply::Reason Why = Reply::Reason::None) {
+    Inst.ReqRejected->inc();
+    std::promise<Reply> P;
+    P.set_value({St, "", Why});
+    return P.get_future();
+  };
 
   std::unique_lock<std::mutex> L(Mu);
-  if (Stopping) {
-    Inst.ReqRejected->inc();
-    Rejected.set_value({Reply::Status::ShuttingDown, ""});
-    return F;
-  }
+  if (Stopping)
+    return reject(Reply::Status::ShuttingDown);
   auto It = Sessions.find(Id);
-  if (It == Sessions.end() || It->second->Closing) {
-    Inst.ReqRejected->inc();
-    Rejected.set_value({Reply::Status::SessionGone, ""});
-    return F;
-  }
+  if (It == Sessions.end() || It->second->Closing)
+    return reject(Reply::Status::SessionGone);
   SessionPtr S = It->second;
   bool Faulted = false;
   try {
@@ -282,18 +283,11 @@ std::future<Reply> SessionManager::submit(SessionId Id, std::string Text) {
   } catch (...) {
     Faulted = true;
   }
-  if (Faulted || QueuedTotal >= Opts.MaxQueuedRequests) {
-    Inst.ReqRejected->inc();
-    Rejected.set_value(
-        {Reply::Status::RejectedOverloaded, "", Reply::Reason::QueueFull});
-    return F;
-  }
-  if (S->Queue.size() >= Opts.MaxQueuedPerSession) {
-    Inst.ReqRejected->inc();
-    Rejected.set_value({Reply::Status::RejectedOverloaded, "",
-                        Reply::Reason::BudgetExceeded});
-    return F;
-  }
+  if (Faulted || QueuedTotal >= Opts.MaxQueuedRequests)
+    return reject(Reply::Status::RejectedOverloaded, Reply::Reason::QueueFull);
+  if (S->Queue.size() >= Opts.MaxQueuedPerSession)
+    return reject(Reply::Status::RejectedOverloaded,
+                  Reply::Reason::BudgetExceeded);
 
   // A request for a hibernated session resurrects it transparently -
   // after securing a live slot, hibernating someone else's idle session
@@ -308,29 +302,21 @@ std::future<Reply> SessionManager::submit(SessionId Id, std::string Text) {
       if (!freeSlotLocked(L))
         break;
     // freeSlotLocked drops the lock; every precondition needs a re-check.
-    if (Stopping) {
-      Inst.ReqRejected->inc();
-      Rejected.set_value({Reply::Status::ShuttingDown, ""});
-      return F;
-    }
-    if (S->Closing) {
-      Inst.ReqRejected->inc();
-      Rejected.set_value({Reply::Status::SessionGone, ""});
-      return F;
-    }
+    if (Stopping)
+      return reject(Reply::Status::ShuttingDown);
+    if (S->Closing)
+      return reject(Reply::Status::SessionGone);
     NeedResurrect = S->Hibernated && !S->Busy;
     if (NeedResurrect && LiveEngines >= Opts.MaxSessions) {
-      Inst.ReqRejected->inc();
       Inst.NoIdleRejects->inc();
-      Rejected.set_value({Reply::Status::RejectedOverloaded, "",
-                          Reply::Reason::SessionCapNoIdle});
-      return F;
+      return reject(Reply::Status::RejectedOverloaded,
+                    Reply::Reason::SessionCapNoIdle);
     }
   }
 
   Request R;
   R.Text = std::move(Text);
-  F = R.Promise.get_future();
+  std::future<Reply> F = R.Promise.get_future();
   S->Queue.push_back(std::move(R));
   ++QueuedTotal;
   S->LastUsed = ++UseTick;

@@ -412,8 +412,9 @@ TEST(Optimizer, UnrollPreservesSemanticsAcrossTripCounts) {
     OptimizeOptions Opts;
     Opts.UnrollFactor = 2;
     OptimizeStats Stats = optimize(*F, Opts);
-    if (N == 0)
+    if (N == 0) {
       EXPECT_GE(Stats.NumLoopsUnrolled, 1u);
+    }
     auto R = execute(*F, {makeValue(Value::intScalar(N))}, 1);
     EXPECT_DOUBLE_EQ(R[0]->scalarValue(), 21.0 * N) << "trip count " << N;
   }

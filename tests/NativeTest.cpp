@@ -18,9 +18,13 @@
 #include "ast/Parser.h"
 #include "backend/CEmitter.h"
 #include "backend/Compiler.h"
+#include "backend/Platform.h"
+#include "backend/RegAlloc.h"
 #include "engine/Corpus.h"
 #include "engine/Engine.h"
+#include "ir/Builder.h"
 #include "native/NativeCompiler.h"
+#include "native/NativeRuntime.h"
 #include "repo/RepoStore.h"
 #include "support/Error.h"
 #include "support/FaultInjection.h"
@@ -456,30 +460,113 @@ TEST_F(NativeEngineTest, ScratchDirectoryHonorsTmpdir) {
 TEST_F(NativeEngineTest, NativeErrorTextMatchesVm) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no C compiler on host";
-  const char *Src = "function y = oob(x)\n"
-                    "A = zeros(3, 1);\n"
-                    "for k = 1:3\nA(k) = k;\nend\n"
-                    "y = A(x);\n";
+  // One row per shared error path: the function is warmed on a good
+  // argument, then tripped on a bad one, once per tier.
+  struct Row {
+    const char *Name;
+    const char *Src;
+    double Good, Bad;
+  };
+  const Row Rows[] = {
+      {"oob",
+       "function y = oob(x)\n"
+       "A = zeros(3, 1);\n"
+       "for k = 1:3\nA(k) = k;\nend\n"
+       "y = A(x);\n",
+       2, 10},
+      {"oob2",
+       "function y = oob2(r)\n"
+       "A = zeros(3, 3);\n"
+       "for k = 1:3\nA(k, k) = k;\nend\n"
+       "y = A(r, 2);\n",
+       2, 10},
+      {"unassigned",
+       "function y = unassigned(x)\n"
+       "if x > 5\ny = x;\nend\n",
+       10, 1},
+      {"raise",
+       "function y = raise(x)\n"
+       "if x > 5\nerror('too big: %d', x);\nend\n"
+       "y = x;\n",
+       2, 10},
+  };
 
-  auto errorText = [&](EngineOptions O) {
-    Engine E(std::move(O));
-    EXPECT_TRUE(E.addSource("oob", Src));
-    // Warm the tier on a valid index first, then trip the bad one.
-    E.callFunction("oob", {intArg(2)}, 1, SourceLoc());
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    auto errorText = [&](EngineOptions O, bool ExpectNative) {
+      Engine E(std::move(O));
+      EXPECT_TRUE(E.addSource(R.Name, R.Src));
+      // Warm the tier on a valid argument first, then trip the bad one.
+      E.callFunction(R.Name, {intArg(R.Good)}, 1, SourceLoc());
+      if (ExpectNative) { // else the row would compare the VM with itself
+        EXPECT_GT(E.profile(R.Name).NativeRuns, 0u);
+      }
+      try {
+        E.callFunction(R.Name, {intArg(R.Bad)}, 1, SourceLoc());
+      } catch (MatlabError &ME) {
+        return ME.message();
+      }
+      return std::string("<no error>");
+    };
+
+    EngineOptions Vm;
+    Vm.Policy = CompilePolicy::Jit;
+    Vm.BackgroundCompileThreads = 0;
+    std::string VmMsg = errorText(std::move(Vm), false);
+    std::string NativeMsg = errorText(nativeOpts(), true);
+    EXPECT_NE(VmMsg, "<no error>");
+    EXPECT_EQ(NativeMsg, VmMsg);
+  }
+}
+
+TEST(NativeDirect, CheckDefErrorTextMatchesVm) {
+  if (!hostCompilerAvailable())
+    GTEST_SKIP() << "no C compiler on host";
+  // CodeGen sends functions that may read an unassigned variable to the
+  // interpreter, so no engine program reaches CheckDef; run a hand-built
+  // one on both tiers instead: z = <never assigned>; check z; y = z.
+  IRFunction F;
+  F.Name = "undef";
+  F.NumOuts = 1;
+  IRBuilder B(F);
+  int32_t Z = B.newP();
+  B.emitImmI(Opcode::CheckDef, F.internName("z"), Z);
+  B.emitImmI(Opcode::StoreOut, 0, Z);
+  B.emit(Opcode::Ret);
+  B.finish();
+  allocateRegisters(F, PlatformModel::sparc(), {});
+
+  struct NoCalls : CallResolver, native::NativeHost {
+    std::vector<ValuePtr> callFunction(const std::string &Name,
+                                       std::vector<ValuePtr>, size_t,
+                                       SourceLoc) override {
+      return callFunction(Name, {}, 0);
+    }
+    std::vector<ValuePtr> callFunction(const std::string &Name,
+                                       std::vector<ValuePtr>,
+                                       size_t) override {
+      throw MatlabError("unexpected call to '" + Name + "'");
+    }
+    bool knowsFunction(const std::string &) override { return false; }
+  } Host;
+  auto errorText = [](auto Run) {
     try {
-      E.callFunction("oob", {intArg(10)}, 1, SourceLoc());
+      Run();
     } catch (MatlabError &ME) {
       return ME.message();
     }
     return std::string("<no error>");
   };
 
-  EngineOptions Vm;
-  Vm.Policy = CompilePolicy::Jit;
-  Vm.BackgroundCompileThreads = 0;
-  std::string VmMsg = errorText(std::move(Vm));
-  std::string NativeMsg = errorText(nativeOpts());
-  EXPECT_NE(VmMsg, "<no error>");
+  Context Ctx;
+  std::string VmMsg = errorText([&] { VM(Ctx, Host).run(F, {}, 1); });
+  native::NativeCompiler NC("cc");
+  std::unique_ptr<native::NativeModule> Mod = native::NativeCompiler::load(
+      NC.compile(emitCSource(F, TypeSignature()), F.Name), F.Name, 1);
+  std::string NativeMsg = errorText([&] {
+    native::runNative(Mod->entry(), F.Name, 1, Ctx, Host, {}, 1);
+  });
+  EXPECT_EQ(VmMsg, "undefined function or variable 'z'");
   EXPECT_EQ(NativeMsg, VmMsg);
 }
 

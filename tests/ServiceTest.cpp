@@ -452,8 +452,9 @@ TEST_P(ServiceFaultSweep, ServiceSurvivesScheduleAndRecovers) {
       }
       for (auto &F : Fs) {
         Reply R = F.get(); // every accepted or rejected request resolves
-        if (R.St == Reply::Status::Ok && R.Output.find("x =") == 0)
+        if (R.St == Reply::Status::Ok && R.Output.find("x =") == 0) {
           EXPECT_NE(R.Output.find("144"), std::string::npos) << R.Output;
+        }
       }
     }
     M.shutdown();

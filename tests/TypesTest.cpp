@@ -67,11 +67,14 @@ TEST(IntrinsicLattice, PartialOrderLaws) {
   for (IntrinsicType A : AllIntrinsics) {
     EXPECT_TRUE(intrinsicLE(A, A)); // reflexive
     for (IntrinsicType B : AllIntrinsics) {
-      if (intrinsicLE(A, B) && intrinsicLE(B, A))
+      if (intrinsicLE(A, B) && intrinsicLE(B, A)) {
         EXPECT_EQ(A, B); // antisymmetric
-      for (IntrinsicType C : AllIntrinsics)
-        if (intrinsicLE(A, B) && intrinsicLE(B, C))
+      }
+      for (IntrinsicType C : AllIntrinsics) {
+        if (intrinsicLE(A, B) && intrinsicLE(B, C)) {
           EXPECT_TRUE(intrinsicLE(A, C)); // transitive
+        }
+      }
     }
   }
 }
@@ -84,9 +87,11 @@ TEST(IntrinsicLattice, JoinIsLeastUpperBound) {
       EXPECT_TRUE(intrinsicLE(B, J));
       EXPECT_EQ(J, intrinsicJoin(B, A)); // commutative
       // Least: any other upper bound is above J.
-      for (IntrinsicType U : AllIntrinsics)
-        if (intrinsicLE(A, U) && intrinsicLE(B, U))
+      for (IntrinsicType U : AllIntrinsics) {
+        if (intrinsicLE(A, U) && intrinsicLE(B, U)) {
           EXPECT_TRUE(intrinsicLE(J, U));
+        }
+      }
     }
   }
 }
@@ -198,10 +203,12 @@ TEST(TypeLattice, PartialOrderLaws) {
   for (const Type &A : U) {
     EXPECT_TRUE(A.le(A));
     for (const Type &B : U) {
-      for (const Type &C : U)
-        if (A.le(B) && B.le(C))
+      for (const Type &C : U) {
+        if (A.le(B) && B.le(C)) {
           EXPECT_TRUE(A.le(C)) << A.str() << " / " << B.str() << " / "
                                << C.str();
+        }
+      }
     }
   }
 }
